@@ -15,7 +15,6 @@ from .diagnostics import (
     TrajectoryRecord,
     convergence_study,
     read_csv,
-    record,
     run_recorded,
     write_csv,
 )
@@ -55,12 +54,9 @@ from .systems import (
     TodaExtended,
     ZeitlinSphere,
     casimirs,
-    rigid_body_B,
     toda_extended_B,
     toda_extended_H,
     toda_lax_matrices,
-    zeitlin_B,
-    zeitlin_H,
     zeitlin_laplacian,
     zeitlin_laplacian_inv,
     zeitlin_spin_generators,
@@ -117,8 +113,6 @@ __all__ = [
     "parse_custom",
     "random_algebra_element",
     "read_csv",
-    "record",
-    "rigid_body_B",
     "run_recorded",
     "run_trajectory",
     "solve_stage",
@@ -128,8 +122,6 @@ __all__ = [
     "toda_extended_H",
     "toda_lax_matrices",
     "write_csv",
-    "zeitlin_B",
-    "zeitlin_H",
     "zeitlin_laplacian",
     "zeitlin_laplacian_inv",
     "zeitlin_spin_generators",

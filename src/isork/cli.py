@@ -18,12 +18,15 @@ non-convergence, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .diagnostics import convergence_study, run_recorded, write_csv
-from .integrator import NonConvergenceError, StepperConfig
+from .integrator import _UPDATE_FORMS, _VARIANT_SIGNS, NonConvergenceError, StepperConfig
 from .systems import RigidBody, TodaExtended, ZeitlinSphere
 from .tableau import BUILTIN_TABLEAUS, builtin, parse_custom
 
@@ -36,7 +39,8 @@ class ConfigError(ValueError):
 
 _SYSTEMS = ("rigidbody", "toda", "zeitlin")
 _METHODS = tuple(BUILTIN_TABLEAUS) + ("custom",)
-_COMPARE_BASELINES = ("isospectral-midpoint", "gawlik", "classical-rk4")
+# Compare labels that are not tableau names, with the run_recorded method each selects.
+_COMPARE_BASELINES = {"isospectral-midpoint": "isospectral", "gawlik": "gawlik", "classical-rk4": "rk4"}
 
 
 @dataclass(frozen=True)
@@ -167,26 +171,22 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"method must be one of {_METHODS}, got {config.method!r}")
     if config.method == "custom" and not config.custom_b:
         raise ConfigError("method = custom requires custom_b weights")
-    if config.h <= 0:
-        raise ConfigError(f"h must be positive, got {config.h}")
+    if not 0 < config.h < math.inf:
+        raise ConfigError(f"h must be positive and finite, got {config.h}")
     if config.steps < 1:
         raise ConfigError(f"steps must be at least 1, got {config.steps}")
-    if config.solver_tol <= 0:
-        raise ConfigError(f"solver_tol must be positive, got {config.solver_tol}")
-    if config.solver_max_iters < 1:
-        raise ConfigError(f"solver_max_iters must be at least 1, got {config.solver_max_iters}")
     if config.n < 3:
         raise ConfigError(f"n must be at least 3, got {config.n}")
     if config.N < 2:
         raise ConfigError(f"N must be at least 2, got {config.N}")
-    if len(config.inertia) != 3 or any(x <= 0 for x in config.inertia):
+    if len(config.inertia) != 3 or not all(x > 0 for x in config.inertia):
         raise ConfigError(f"inertia needs three positive moments, got {config.inertia}")
-    if config.scale <= 0:
-        raise ConfigError(f"scale must be positive, got {config.scale}")
-    if config.variant not in ("left", "right"):
-        raise ConfigError(f"variant must be left or right, got {config.variant!r}")
-    if config.update_form not in ("conjugation", "dcay"):
-        raise ConfigError(f"update_form must be conjugation or dcay, got {config.update_form!r}")
+    if not 0 < config.scale < math.inf:
+        raise ConfigError(f"scale must be positive and finite, got {config.scale}")
+    try:
+        _stepper_config(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _tableau_for(config: RunConfig):
@@ -206,7 +206,7 @@ def _system_for(config: RunConfig):
     return ZeitlinSphere(N=config.N, forward_laplacian=config.forward_laplacian)
 
 
-def _stepper_config(config: RunConfig, tableau) -> StepperConfig:
+def _stepper_config(config: RunConfig, tableau=BUILTIN_TABLEAUS["midpoint"]) -> StepperConfig:
     return StepperConfig(
         variant=config.variant,
         update_form=config.update_form,
@@ -216,11 +216,16 @@ def _stepper_config(config: RunConfig, tableau) -> StepperConfig:
     )
 
 
+def _max_of(values) -> float:
+    """Maximum that is NaN when any value is NaN, unlike the builtin max()."""
+    return float(np.max(list(values)))
+
+
 def _print_run_summary(config: RunConfig, tableau, records, path: str) -> None:
     final = records[-1]
-    max_spectral = max(r.spectral_drift for r in records)
-    max_energy = max(abs(r.energy_drift) for r in records)
-    max_membership = max(r.membership_residual for r in records)
+    max_spectral = _max_of(r.spectral_drift for r in records)
+    max_energy = _max_of(abs(r.energy_drift) for r in records)
+    max_membership = _max_of(r.membership_residual for r in records)
     total_iters = sum(r.solver_iters_total for r in records)
     stage_count = config.steps * tableau.s
     max_step = max(r.solver_iters_total for r in records[1:])
@@ -280,19 +285,13 @@ def cmd_convergence(config: RunConfig, h_list, t_final: float, reference_h) -> i
 
 def _compare_runner(label: str, config: RunConfig):
     """Resolve a compare method label to (stepper kind, tableau)."""
-    if label == "gawlik":
-        return "gawlik", builtin("midpoint")
-    if label == "classical-rk4":
-        return "rk4", builtin("midpoint")
-    if label == "isospectral-midpoint":
-        return "isospectral", builtin("midpoint")
-    if label in BUILTIN_TABLEAUS:
-        return "isospectral", builtin(label)
-    if label == "custom":
-        if not config.custom_b:
-            raise ConfigError("compare method custom requires custom_b weights")
-        return "isospectral", parse_custom(",".join(repr(float(w)) for w in config.custom_b))
-    known = ", ".join(_COMPARE_BASELINES + tuple(BUILTIN_TABLEAUS) + ("custom",))
+    if label in _COMPARE_BASELINES:
+        return _COMPARE_BASELINES[label], builtin("midpoint")
+    if label == "custom" and not config.custom_b:
+        raise ConfigError("compare method custom requires custom_b weights")
+    if label in _METHODS:
+        return "isospectral", _tableau_for(replace(config, method=label))
+    known = ", ".join(tuple(_COMPARE_BASELINES) + _METHODS)
     raise ConfigError(f"unknown compare method {label!r}; known: {known}")
 
 
@@ -311,7 +310,7 @@ def cmd_compare(config: RunConfig, methods) -> int:
         records = run_recorded(system, mu0, cfg, config.h, config.steps, method=kind)
         path = f"{prefix}-{label}.csv"
         write_csv(records, path)
-        results.append((label, max(r.spectral_drift for r in records), path))
+        results.append((label, _max_of(r.spectral_drift for r in records), path))
     reference = next(
         (r for r in results if r[0] == "isospectral-midpoint"), results[0]
     )
@@ -320,7 +319,7 @@ def cmd_compare(config: RunConfig, methods) -> int:
     print(f"compare: system={config.system} h={config.h!r} steps={config.steps} seed={config.seed}")
     print(f"{'method'.ljust(width)}  {'max spectral drift':>20}  {'ratio vs ' + reference[0]:>26}")
     for label, drift, path in results:
-        ratio = drift / ref_drift if ref_drift > 0 else float("inf")
+        ratio = drift / ref_drift if ref_drift != 0 else float("inf")
         print(f"{label.ljust(width)}  {drift:>20.6e}  {ratio:>26.3e}")
     for _, _, path in results:
         print(f"wrote {path}")
@@ -349,8 +348,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--h", type=float, help="macro step size")
     parser.add_argument("--steps", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--variant", choices=("left", "right"))
-    parser.add_argument("--update-form", dest="update_form", choices=("conjugation", "dcay"))
+    parser.add_argument("--variant", choices=tuple(_VARIANT_SIGNS))
+    parser.add_argument("--update-form", dest="update_form", choices=_UPDATE_FORMS)
     parser.add_argument("--solver-tol", dest="solver_tol", type=float)
     parser.add_argument("--solver-max-iters", dest="solver_max_iters", type=int)
     parser.add_argument("--n", type=int, help="Toda lattice size")

@@ -10,6 +10,10 @@ tracking: the integrators conserve spectra, so the sorted order is
 stable, and the clustered tie-handling in `spectrum` keeps conjugate
 pairs from swapping under roundoff.
 
+Recorded runs and convergence sweeps hand a step callable (the
+isospectral stepper or either baseline) to the integrator's single
+macro-step loop, which attaches step indices to solver failures.
+
 CSV output uses shortest round-trip float formatting so files are
 byte-deterministic for a given (seed, config) and parse back
 bit-exactly.
@@ -23,10 +27,10 @@ import numpy as np
 
 from .integrator import (
     NonConvergenceError,
-    StageState,
     StepperConfig,
+    _drive,
     classical_rk4_step,
-    gawlik_step_stats,
+    gawlik_step,
     isospectral_sdirk_step,
 )
 from .quadlie import spectrum
@@ -36,7 +40,6 @@ __all__ = [
     "TrajectoryRecord",
     "ConvergenceReport",
     "Recorder",
-    "record",
     "run_recorded",
     "convergence_study",
     "write_csv",
@@ -104,11 +107,6 @@ class Recorder:
         )
 
 
-def record(mu_n, mu0, system, stage_stats, step: int = 0, h: float = 0.0) -> TrajectoryRecord:
-    """One-shot form of Recorder.record; recomputes the initial data each call."""
-    return Recorder(system, mu0).record(mu_n, stage_stats, step=step, h=h)
-
-
 def run_recorded(
     system,
     mu0,
@@ -127,40 +125,31 @@ def run_recorded(
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
+    # The steppers are looked up at call time, so a name swapped on this
+    # module (as the benchmark's tracer does) takes effect.
+    if method == "isospectral":
+        schedule = make_schedule(cfg.tableau, h)
+        step = lambda mu: isospectral_sdirk_step(mu, system, cfg, schedule)
+    elif method == "gawlik":
+        step = lambda mu: gawlik_step(mu, h, system, cfg)
+    else:
+        step = lambda mu: (classical_rk4_step(mu, h, system), [])
     rec = Recorder(system, mu0)
-    schedule = make_schedule(cfg.tableau, h) if method == "isospectral" else None
-    out = [rec.record(mu0, [], step=0, h=h)]
-    mu = mu0
-    for n in range(1, n_steps + 1):
-        if method == "isospectral":
-            try:
-                mu, stages = isospectral_sdirk_step(mu, system, cfg, schedule)
-            except NonConvergenceError as exc:
-                raise NonConvergenceError(exc.iters, exc.residual, step=n - 1, stage=exc.stage) from None
-        elif method == "gawlik":
-            try:
-                mu, iters, residual = gawlik_step_stats(mu, h, system, cfg)
-            except NonConvergenceError as exc:
-                raise NonConvergenceError(exc.iters, exc.residual, step=n - 1) from None
-            stages = [StageState(mu_half=mu, mu_stage=mu, iters=iters, residual=residual)]
-        else:
-            mu = classical_rk4_step(mu, h, system)
-            stages = []
-        if n % record_every == 0 or n == n_steps:
-            out.append(rec.record(mu, stages, step=n, h=h))
-    return out
+    return [
+        rec.record(mu, stages, step=n, h=h)
+        for n, mu, stages in _drive(step, mu0, n_steps)
+        if n % record_every == 0 or n == n_steps
+    ]
 
 
-def _final_state(mu0, system, cfg: StepperConfig, h: float, n_steps: int):
+def _final_state(mu0, system, cfg: StepperConfig, h: float, t_final: float):
     schedule = make_schedule(cfg.tableau, h)
-    mu = mu0
-    for _ in range(n_steps):
-        mu, _stages = isospectral_sdirk_step(mu, system, cfg, schedule)
-    return mu
+    step = lambda mu: isospectral_sdirk_step(mu, system, cfg, schedule)
+    for _, mu_n, _ in _drive(step, mu0, _step_count(t_final, h)):
+        pass
+    return mu_n
 
 
 def _step_count(t_final: float, h: float) -> int:
@@ -210,19 +199,14 @@ def convergence_study(
         slope = _fit_slope(h_values[: len(errors)], errors) if len(errors) >= 2 else float("nan")
         return ConvergenceReport(tuple(h_values[: len(errors)]), tuple(errors), slope)
 
-    try:
-        mu_ref = _final_state(mu0, system, cfg, reference_h, _step_count(t_final, reference_h))
-    except NonConvergenceError as exc:
-        exc.partial = partial_report([])
-        raise
     errors = []
-    for h in h_values:
-        try:
-            mu_h = _final_state(mu0, system, cfg, h, _step_count(t_final, h))
-        except NonConvergenceError as exc:
-            exc.partial = partial_report(errors)
-            raise
-        errors.append(float(np.linalg.norm(mu_h - mu_ref)))
+    try:
+        mu_ref = _final_state(mu0, system, cfg, reference_h, t_final)
+        for h in h_values:
+            errors.append(float(np.linalg.norm(_final_state(mu0, system, cfg, h, t_final) - mu_ref)))
+    except NonConvergenceError as exc:
+        exc.partial = partial_report(errors)
+        raise
     return ConvergenceReport(tuple(h_values), tuple(errors), _fit_slope(h_values, errors))
 
 

@@ -18,6 +18,10 @@ solver residual, while the dcay form leaks at the residual level.  The
 right-invariant variant swaps the signs of both halves, which is the
 same arithmetic as stepping with -h_i.
 
+Every multi-step run, here and in the diagnostics module, goes through
+one loop, `_drive`, over a step(mu) -> (mu_next, stages) callable such
+as the Cayley half-step baseline; only it attaches step indices.
+
 Also here: the cotangent-bundle formulation of the same scheme (stage
 increments on group and momentum factors, reduced back through
 mu = g^dagger p), used as an independent cross-check of the reduced
@@ -29,12 +33,13 @@ baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .quadlie import cayley_conjugate, commutator, dcay_inv
-from .tableau import BUILTIN_TABLEAUS, SdirkTableau, StepSchedule, make_schedule
+from .tableau import BUILTIN_TABLEAUS, SdirkTableau, StepSchedule
 
 __all__ = [
     "StepperConfig",
@@ -94,11 +99,10 @@ class StepperConfig:
             raise ValueError(f"variant must be one of {sorted(_VARIANT_SIGNS)}, got {self.variant!r}")
         if self.update_form not in _UPDATE_FORMS:
             raise ValueError(f"update_form must be one of {_UPDATE_FORMS}, got {self.update_form!r}")
-        if self.solver_tol <= 0 or self.solver_max_iters < 1:
-            raise ValueError("solver_tol must be positive and solver_max_iters at least 1")
-
-    def schedule(self, h: float) -> StepSchedule:
-        return make_schedule(self.tableau, h)
+        if not 0 < self.solver_tol < math.inf:
+            raise ValueError(f"solver_tol must be positive and finite, got {self.solver_tol}")
+        if self.solver_max_iters < 1:
+            raise ValueError(f"solver_max_iters must be at least 1, got {self.solver_max_iters}")
 
 
 @dataclass(frozen=True)
@@ -178,23 +182,34 @@ def isospectral_sdirk_step(mu_n, system, cfg: StepperConfig, schedule: StepSched
     return mu, stages
 
 
+def _drive(step, mu0, n_steps: int):
+    """The macro-step loop: yields (n, mu_n, stages_n) for n = 0..n_steps.
+
+    step(mu) -> (mu_next, stages) advances one macro step; the initial
+    entry carries an empty stage list.  A non-convergent stage aborts
+    the run with the index of the failing step attached, here and
+    nowhere else.
+    """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+    mu = mu0
+    yield 0, mu, []
+    for n in range(n_steps):
+        try:
+            mu, stages = step(mu)
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(exc.iters, exc.residual, step=n, stage=exc.stage) from None
+        yield n + 1, mu, stages
+
+
 def run_trajectory(mu0, system, cfg: StepperConfig, schedule: StepSchedule, n_steps: int):
     """Integrate n_steps macro steps; returns [(mu_n, stages_n)] for n = 0..n_steps.
 
     The initial entry carries an empty stage list.  Aborts on the
     first non-convergent stage with the step index attached.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
-    out = [(mu0, [])]
-    mu = mu0
-    for n in range(n_steps):
-        try:
-            mu, stages = isospectral_sdirk_step(mu, system, cfg, schedule)
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(exc.iters, exc.residual, step=n, stage=exc.stage) from None
-        out.append((mu, stages))
-    return out
+    steps = _drive(lambda mu: isospectral_sdirk_step(mu, system, cfg, schedule), mu0, n_steps)
+    return [(mu, stages) for _, mu, stages in steps]
 
 
 # --- cotangent-bundle form ------------------------------------------------
@@ -296,24 +311,20 @@ def cotangent_sdirk_step(state: CotangentState, system, cfg: StepperConfig, sche
 # --- baselines ------------------------------------------------------------
 
 
-def gawlik_step_stats(mu_tilde, h: float, system, cfg: StepperConfig):
-    """Cayley implicit half-step update; returns (mu_next, iters, residual).
+def gawlik_step(mu_tilde, h: float, system, cfg: StepperConfig | None = None):
+    """Cayley implicit half-step update; returns (mu_next, [StageState]).
 
     Solves dcay_inv(h B(m+), m+) = dcay_inv(-h B(m), m) for the next
     half point m+.  The right side is explicit; the left side is the
-    stage fixed point at full h.  Symplectic but not isospectral: the
-    update is not a similarity transform, so eigenvalues drift.
+    stage fixed point at full h, whose solution is both the single
+    stage's matrix and its half point.  Symplectic but not isospectral:
+    the update is not a similarity transform, so eigenvalues drift.
     """
-    b0 = system.B(mu_tilde)
-    rhs = dcay_inv(-h * b0, mu_tilde)
-    return _fixed_point(rhs, h / 2.0, system.B, cfg.solver_tol, cfg.solver_max_iters)
-
-
-def gawlik_step(mu_tilde, h: float, system, cfg: StepperConfig | None = None):
-    """See gawlik_step_stats; returns only the updated matrix."""
     if cfg is None:
         cfg = StepperConfig()
-    return gawlik_step_stats(mu_tilde, h, system, cfg)[0]
+    rhs = dcay_inv(-h * system.B(mu_tilde), mu_tilde)
+    mu, iters, residual = _fixed_point(rhs, h / 2.0, system.B, cfg.solver_tol, cfg.solver_max_iters)
+    return mu, [StageState(mu_half=mu, mu_stage=mu, iters=iters, residual=residual)]
 
 
 def classical_rk4_step(mu, h: float, system):

@@ -38,26 +38,25 @@ __all__ = [
     "RigidBody",
     "TodaExtended",
     "ZeitlinSphere",
-    "rigid_body_B",
     "toda_lax_matrices",
     "toda_extended_B",
     "toda_extended_H",
     "zeitlin_spin_generators",
     "zeitlin_laplacian",
     "zeitlin_laplacian_inv",
-    "zeitlin_B",
-    "zeitlin_H",
     "casimirs",
 ]
 
 
 def casimirs(w: np.ndarray, orders) -> list[float]:
-    """Real parts of the trace Casimirs tr(w^k) for the requested k.
+    """Trace Casimirs tr(w^k) for the requested k, as real numbers.
 
-    The imaginary parts are a sanity metric for admissible states (they
-    vanish identically for real or even-k skew-Hermitian input); callers
-    wanting them can take np.trace of matrix powers directly.
+    Real input reports the trace itself.  Complex input reports the
+    real part for even k and the imaginary part for odd k: on
+    skew-Hermitian states tr(w^k) is real for even k and purely
+    imaginary for odd k, so the other part vanishes identically.
     """
+    odd_imag = np.iscomplexobj(w)
     out = []
     p = np.eye(w.shape[0], dtype=np.result_type(w.dtype, np.float64))
     k_prev = 0
@@ -68,7 +67,8 @@ def casimirs(w: np.ndarray, orders) -> list[float]:
             for _ in range(k - k_prev):
                 p = p @ w
         k_prev = k
-        out.append(float(np.real(np.trace(p))))
+        tr = np.trace(p)
+        out.append(float(tr.imag if odd_imag and k % 2 else tr.real))
     return out
 
 
@@ -114,30 +114,12 @@ class IsospectralSystem:
 # --- rigid body ---------------------------------------------------------
 
 
-def rigid_body_B(w: np.ndarray, inertia=(1.0, 2.0, 3.0)) -> np.ndarray:
-    """Flow generator of the free rigid body at angular momentum w.
-
-    With H(W) = <Iinv W, W>/2 the Frobenius gradient constrained to
-    skew directions is the skew projection of Iinv W, which for skew W
-    is (Iinv W + W Iinv)/2; the generator is its transpose.  Isotropic
-    inertia gives B = -W, and any W proportional to a single principal
-    axis makes [B, W] vanish (relative equilibrium).
-    """
-    assert w.shape == (3, 3)
-    assert np.allclose(w, -w.T, atol=1e-12 * (1.0 + abs(w).max()))
-    iinv = _inertia_inverse(tuple(float(x) for x in inertia))
-    return ((iinv @ w + w @ iinv) / 2.0).T
-
-
-@functools.lru_cache(maxsize=None)
-def _inertia_inverse(inertia: tuple[float, ...]) -> np.ndarray:
-    if len(inertia) != 3 or any(x <= 0 for x in inertia):
-        raise ValueError("inertia must be three positive moments")
-    return np.diag([1.0 / x for x in inertia])
-
-
 class RigidBody(IsospectralSystem):
     """Free rigid body on so(3), H(W) = <Iinv W, W>/2.
+
+    B is the transpose of (Iinv W + W Iinv)/2, the skew projection of
+    Iinv W; isotropic inertia gives B = -W, and a W along one principal
+    axis is a relative equilibrium.
 
     The reported quadratic invariant is the squared Frobenius norm
     ||W||_F^2 (the angular momentum magnitude squared, equal to
@@ -150,7 +132,9 @@ class RigidBody(IsospectralSystem):
 
     def __init__(self, inertia=(1.0, 2.0, 3.0)):
         self.inertia = tuple(float(x) for x in inertia)
-        self._iinv = _inertia_inverse(self.inertia)
+        if len(self.inertia) != 3 or not all(x > 0 for x in self.inertia):
+            raise ValueError("inertia must be three positive moments")
+        self._iinv = np.diag([1.0 / x for x in self.inertia])
         self.context = orthogonal_structure(3)
 
     def hamiltonian(self, w: np.ndarray) -> float:
@@ -347,26 +331,6 @@ def zeitlin_laplacian_inv(w: np.ndarray, N: int | None = None) -> np.ndarray:
     return (_laplacian_pinv(N) @ w.reshape(-1)).reshape(N, N)
 
 
-def zeitlin_B(w: np.ndarray, N: int | None = None) -> np.ndarray:
-    """Scaled stream matrix N^{3/2} laplacian_inv(w).
-
-    This is the Frobenius gradient of zeitlin_H; the flow generator is
-    its conjugate transpose, which on skew-Hermitian states is the
-    negated stream matrix.
-    """
-    if N is None:
-        N = w.shape[0]
-    return N ** 1.5 * zeitlin_laplacian_inv(w, N)
-
-
-def zeitlin_H(w: np.ndarray, N: int | None = None) -> float:
-    """Kinetic energy (N^{3/2}/2) <laplacian_inv(w), w>, real on the algebra."""
-    if N is None:
-        N = w.shape[0]
-    p = zeitlin_laplacian_inv(w, N)
-    return 0.5 * N ** 1.5 * float(np.real(np.trace(p.conj().T @ w)))
-
-
 class ZeitlinSphere(IsospectralSystem):
     """Spin-truncated vorticity flow on su(N).
 
@@ -385,7 +349,7 @@ class ZeitlinSphere(IsospectralSystem):
     Odd-order traces of skew-Hermitian matrices are purely imaginary,
     so the casimir_3 and casimir_5 diagnostics record the imaginary
     part (the real part is identically zero), while even orders record
-    the real part.
+    the real part; see `casimirs`.
     """
 
     name = "zeitlin"
@@ -421,16 +385,6 @@ class ZeitlinSphere(IsospectralSystem):
 
     def grad_hamiltonian(self, w: np.ndarray) -> np.ndarray:
         return self._stream(w)
-
-    def casimirs(self, w: np.ndarray) -> list[float]:
-        out = []
-        p = w @ w
-        for k in self.casimir_orders:
-            if k > 2:
-                p = p @ w
-            tr = complex(np.trace(p))
-            out.append(tr.real if k % 2 == 0 else tr.imag)
-        return out
 
     def state_residual(self, w: np.ndarray) -> float:
         return float(np.linalg.norm(w + w.conj().T)) + abs(complex(np.trace(w)))

@@ -110,6 +110,11 @@ class TestPrecedence:
             ({"scale": 0.0}, "scale"),
             ({"variant": "middle"}, "variant"),
             ({"update_form": "exp"}, "update_form"),
+            ({"h": float("nan")}, "h must be positive"),
+            ({"h": float("inf")}, "h must be positive"),
+            ({"scale": float("nan")}, "scale"),
+            ({"solver_tol": float("nan")}, "solver_tol"),
+            ({"inertia": (1.0, float("nan"), 3.0)}, "inertia"),
         ],
     )
     def test_validation(self, kw, match):
@@ -194,6 +199,12 @@ class TestExitCodes:
         assert main(["run", "--h", "-1.0"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--h", "--scale", "--solver-tol"])
+    def test_non_finite_value_is_config_error(self, flag, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--steps", "2", flag, "nan"]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
 
@@ -261,6 +272,18 @@ class TestCompareCommand:
         table = capsys.readouterr().out
         assert "ratio vs isospectral-midpoint" in table
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_drift_propagates_to_table(self, tmp_path, capsys):
+        # RK4 on Toda at h = 0.3 blows up: the drift is NaN from step 5
+        # on, after finite values the builtin max() would return.
+        code = main(
+            ["compare", "--system", "toda", "--h", "0.3", "--steps", "12",
+             "--methods", "classical-rk4", "--out", str(tmp_path / "n")]
+        )
+        assert code == 0
+        row = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("classical-rk4")]
+        assert row[0].split()[1:] == ["nan", "nan"]
+
     def test_reference_defaults_to_first_method(self, tmp_path, capsys):
         code = main(
             ["compare", "--h", "0.05", "--steps", "5", "--methods", "gawlik,classical-rk4",
@@ -282,6 +305,14 @@ class TestCompareCommand:
              "--out", str(tmp_path / "u")]
         )
         assert code == 2
+
+    def test_bad_custom_weights_is_config_error(self, tmp_path, capsys):
+        code = main(
+            ["compare", "--h", "0.05", "--steps", "4", "--methods", "custom",
+             "--custom-b", "0.3,0.3", "--out", str(tmp_path / "b")]
+        )
+        assert code == 2
+        assert "custom_b" in capsys.readouterr().err
 
     def test_empty_methods_is_config_error(self, tmp_path):
         code = main(

@@ -13,7 +13,6 @@ from isork.diagnostics import (
     TrajectoryRecord,
     convergence_study,
     read_csv,
-    record,
     run_recorded,
     write_csv,
 )
@@ -27,7 +26,7 @@ class TestRecord:
     def test_initial_point_has_zero_drifts(self):
         sys = RigidBody()
         mu0 = sys.initial_state(0)
-        r = record(mu0, mu0, sys, [])
+        r = Recorder(sys, mu0).record(mu0, [])
         assert r.step == 0 and r.t == 0.0
         assert r.energy_drift == 0.0
         assert r.spectral_drift == 0.0
@@ -39,17 +38,20 @@ class TestRecord:
         mu0 = sys.initial_state(1)
         q = cayley(random_algebra_element(sys.context, 9))
         moved = q @ mu0 @ q.T
-        r = record(moved, mu0, sys, [], step=3, h=0.5)
+        r = Recorder(sys, mu0).record(moved, [], step=3, h=0.5)
         assert r.spectral_drift < 1e-13
         assert r.t == 1.5
 
     def test_recorder_matches_one_shot(self):
+        # A Recorder reused along a trajectory gives what a fresh one
+        # gives for each point: the cached initial data is all it keeps.
         sys = ZeitlinSphere(N=5)
         mu0 = sys.initial_state(2)
         st = solve_stage(mu0, 0.05, sys, StepperConfig())
         rec = Recorder(sys, mu0)
-        assert rec.record(st.mu_half, [st], step=1, h=0.05) == record(
-            st.mu_half, mu0, sys, [st], step=1, h=0.05
+        rec.record(mu0, [])
+        assert rec.record(st.mu_half, [st], step=1, h=0.05) == Recorder(sys, mu0).record(
+            st.mu_half, [st], step=1, h=0.05
         )
 
     def test_eigensolver_failure_is_flagged_not_raised(self, monkeypatch):
@@ -145,6 +147,15 @@ class TestConvergenceStudy:
         partial = info.value.partial
         assert partial.errors == ()
         assert math.isnan(partial.fitted_slope)
+
+    def test_failure_reports_step(self):
+        # The reference run's first step overflows, and the sweep's
+        # runs share the stepping loop that attaches the step index.
+        with pytest.raises(NonConvergenceError) as info:
+            convergence_study(RigidBody(), builtin("midpoint"), [1e300, 2e300, 4e300], 4e300)
+        assert info.value.step == 0
+        assert info.value.stage == 0
+        assert info.value.partial.errors == ()
 
     def test_respects_caller_stepper_config(self):
         cfg = StepperConfig(update_form="dcay", tableau=builtin("sdirk2"))

@@ -13,7 +13,6 @@ from isork.integrator import (
     cotangent_lift,
     cotangent_sdirk_step,
     gawlik_step,
-    gawlik_step_stats,
     isospectral_sdirk_step,
     momentum_map,
     run_trajectory,
@@ -69,6 +68,7 @@ class TestStepperConfig:
             {"solver_tol": 0.0},
             {"solver_tol": -1e-13},
             {"solver_max_iters": 0},
+            {"solver_tol": float("nan")},
         ],
     )
     def test_rejects_bad_fields(self, kw):
@@ -290,14 +290,16 @@ class TestCotangentForm:
 class TestGawlikBaseline:
     def test_zero_flow_fixed(self):
         mu = random_algebra_element(orthogonal_structure(4), 1)
-        out, iters, residual = gawlik_step_stats(mu, 0.1, _ZeroFlow(), _cfg())
+        out, stages = gawlik_step(mu, 0.1, _ZeroFlow(), _cfg())
         assert np.array_equal(out, mu)
-        assert iters == 1 and residual == 0.0
+        assert len(stages) == 1
+        assert stages[0].iters == 1 and stages[0].residual == 0.0
+        assert stages[0].mu_half is out
 
     def test_default_config(self):
         sys = RigidBody()
         mu = sys.initial_state(2)
-        assert np.array_equal(gawlik_step(mu, 0.05, sys), gawlik_step(mu, 0.05, sys, _cfg()))
+        assert np.array_equal(gawlik_step(mu, 0.05, sys)[0], gawlik_step(mu, 0.05, sys, _cfg())[0])
 
     def test_agrees_with_midpoint_to_second_order(self):
         # Both schemes are second order; their gap per step is O(h^3).
@@ -307,7 +309,7 @@ class TestGawlikBaseline:
 
         def gap(h):
             iso, _ = isospectral_sdirk_step(mu, sys, cfg, make_schedule(cfg.tableau, h))
-            return np.linalg.norm(gawlik_step(mu, h, sys, cfg) - iso)
+            return np.linalg.norm(gawlik_step(mu, h, sys, cfg)[0] - iso)
 
         ratio = gap(0.1) / gap(0.05)
         assert 6.0 < ratio < 10.0
@@ -322,7 +324,7 @@ class TestGawlikBaseline:
         sched = make_schedule(cfg.tableau, 0.1)
         mu_gaw = mu_iso = mu0
         for _ in range(100):
-            mu_gaw = gawlik_step(mu_gaw, 0.1, sys, cfg)
+            mu_gaw, _ = gawlik_step(mu_gaw, 0.1, sys, cfg)
             mu_iso, _ = isospectral_sdirk_step(mu_iso, sys, cfg, sched)
         gaw_drift = np.max(np.abs(spectrum(mu_gaw) - spec0))
         iso_drift = np.max(np.abs(spectrum(mu_iso) - spec0))

@@ -14,7 +14,6 @@ from isork.systems import (
     TodaExtended,
     ZeitlinSphere,
     casimirs,
-    rigid_body_B,
     toda_extended_B,
     toda_extended_H,
     toda_lax_matrices,
@@ -36,10 +35,10 @@ def test_casimir_traces():
 class TestRigidBody:
     def test_generator_value(self):
         # Inertia (1, 2, 3): the 1-2 plane spin has B = -(3/4) W.
-        assert np.allclose(rigid_body_B(W_E12), -0.75 * W_E12, atol=1e-15)
+        assert np.allclose(RigidBody().B(W_E12), -0.75 * W_E12, atol=1e-15)
 
     def test_isotropic_inertia(self):
-        assert np.allclose(rigid_body_B(W_E12, (1.0, 1.0, 1.0)), -W_E12, atol=1e-15)
+        assert np.allclose(RigidBody((1.0, 1.0, 1.0)).B(W_E12), -W_E12, atol=1e-15)
 
     def test_energy_and_invariant_values(self):
         sys = RigidBody()
@@ -51,10 +50,6 @@ class TestRigidBody:
         w[1, 2], w[2, 1] = 1.0, -1.0
         sys = RigidBody()
         assert np.linalg.norm(commutator(sys.B(w), w)) < 1e-15
-
-    def test_rejects_non_skew(self):
-        with pytest.raises(AssertionError):
-            rigid_body_B(np.ones((3, 3)))
 
     def test_inertia_validation(self):
         with pytest.raises(ValueError):
