@@ -64,9 +64,7 @@ from .systems import (
 from .tableau import (
     BUILTIN_TABLEAUS,
     SdirkTableau,
-    StepSchedule,
     builtin,
-    make_schedule,
     order_conditions,
     parse_custom,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "SdirkTableau",
     "SplitMix64",
     "StageState",
-    "StepSchedule",
     "StepperConfig",
     "TodaExtended",
     "TrajectoryRecord",
@@ -105,7 +102,6 @@ __all__ = [
     "frobenius_pairing",
     "gawlik_step",
     "isospectral_sdirk_step",
-    "make_schedule",
     "membership_residuals",
     "momentum_map",
     "orthogonal_structure",

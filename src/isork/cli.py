@@ -82,23 +82,30 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+# Config-file keys and command-line flags both come from the RunConfig
+# fields; each value parser is chosen by the field's (string) annotation.
 _COERCERS = {
-    "system": str,
-    "method": str,
-    "custom_b": _parse_float_list,
-    "h": float,
-    "steps": int,
-    "seed": int,
-    "variant": str,
-    "update_form": str,
-    "solver_tol": float,
-    "solver_max_iters": int,
-    "n": int,
-    "N": int,
-    "inertia": _parse_float_list,
-    "scale": float,
-    "forward_laplacian": _parse_bool,
-    "out": str,
+    f.name: _parse_float_list if f.type.startswith("tuple")
+    else {"bool": _parse_bool, "int": int, "float": float}.get(f.type, str)
+    for f in fields(RunConfig)
+}
+# Per-field argparse extras; every other flag takes one value parsed like its config-file value.
+_FLAG_OPTIONS = {
+    "system": {"choices": _SYSTEMS},
+    "method": {"choices": _METHODS},
+    "custom_b": {"metavar": "B1,B2,...", "help": "weights for method=custom"},
+    "h": {"help": "macro step size"},
+    "variant": {"choices": tuple(_VARIANT_SIGNS)},
+    "update_form": {"choices": _UPDATE_FORMS},
+    "n": {"help": "Toda lattice size"},
+    "N": {"help": "Zeitlin truncation size"},
+    "inertia": {"metavar": "I1,I2,I3"},
+    "scale": {"help": "initial state scale"},
+    "forward_laplacian": {
+        "action": "store_const", "const": True,
+        "help": "use the forward Laplacian as the Zeitlin stream operator",
+    },
+    "out": {"help": "output path (run/convergence) or prefix (compare)"},
 }
 
 
@@ -260,25 +267,19 @@ def cmd_run(config: RunConfig) -> int:
 def cmd_convergence(config: RunConfig, h_list, t_final: float, reference_h) -> int:
     if len(h_list) < 3:
         raise ConfigError(f"need at least 3 step sizes for a slope fit, got {len(h_list)}")
-    tableau = _tableau_for(config)
+    cfg = _stepper_config(config, _tableau_for(config))
     system = _system_for(config)
-    cfg = _stepper_config(config, tableau)
     mu0 = system.initial_state(config.seed, config.scale)
     try:
-        report = convergence_study(
-            system, tableau, h_list, t_final, reference_h, mu0=mu0, cfg=cfg
-        )
+        report = convergence_study(system, h_list, t_final, reference_h, mu0=mu0, cfg=cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    print("h,error")
-    for h, err in zip(report.h_values, report.errors):
-        print(f"{h!r},{err!r}")
+    table = "h,error\n" + "".join(f"{h!r},{err!r}\n" for h, err in zip(report.h_values, report.errors))
+    sys.stdout.write(table)
     print(f"fitted slope: {report.fitted_slope:.4f}")
     if config.out:
         with open(config.out, "w", newline="") as fh:
-            fh.write("h,error\n")
-            for h, err in zip(report.h_values, report.errors):
-                fh.write(f"{h!r},{err!r}\n")
+            fh.write(table)
         print(f"wrote {config.out}")
     return 0
 
@@ -339,28 +340,11 @@ def cmd_dump_config(config: RunConfig) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="flat key = value config file")
-    parser.add_argument("--system", choices=_SYSTEMS)
-    parser.add_argument("--method", choices=_METHODS)
-    parser.add_argument(
-        "--custom-b", dest="custom_b", type=_parse_float_list, metavar="B1,B2,...",
-        help="weights for method=custom",
-    )
-    parser.add_argument("--h", type=float, help="macro step size")
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--variant", choices=tuple(_VARIANT_SIGNS))
-    parser.add_argument("--update-form", dest="update_form", choices=_UPDATE_FORMS)
-    parser.add_argument("--solver-tol", dest="solver_tol", type=float)
-    parser.add_argument("--solver-max-iters", dest="solver_max_iters", type=int)
-    parser.add_argument("--n", type=int, help="Toda lattice size")
-    parser.add_argument("--N", dest="N", type=int, help="Zeitlin truncation size")
-    parser.add_argument("--inertia", type=_parse_float_list, metavar="I1,I2,I3")
-    parser.add_argument("--scale", type=float, help="initial state scale")
-    parser.add_argument(
-        "--forward-laplacian", dest="forward_laplacian", action="store_const", const=True,
-        help="use the forward Laplacian as the Zeitlin stream operator",
-    )
-    parser.add_argument("--out", help="output path (run/convergence) or prefix (compare)")
+    for f in fields(RunConfig):
+        options = _FLAG_OPTIONS.get(f.name, {})
+        if "action" not in options:
+            options = {"type": _COERCERS[f.name], **options}
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:

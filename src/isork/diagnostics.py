@@ -12,7 +12,8 @@ pairs from swapping under roundoff.
 
 Recorded runs and convergence sweeps hand a step callable (the
 isospectral stepper or either baseline) to the integrator's single
-macro-step loop, which attaches step indices to solver failures.
+macro-step loop, which attaches step indices to solver failures.  They
+pass the macro step h through; cfg.tableau alone sets the substeps.
 
 CSV output uses shortest round-trip float formatting so files are
 byte-deterministic for a given (seed, config) and parse back
@@ -21,7 +22,8 @@ bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .integrator import (
     isospectral_sdirk_step,
 )
 from .quadlie import spectrum
-from .tableau import SdirkTableau, make_schedule
 
 __all__ = [
     "TrajectoryRecord",
@@ -130,8 +131,7 @@ def run_recorded(
     # The steppers are looked up at call time, so a name swapped on this
     # module (as the benchmark's tracer does) takes effect.
     if method == "isospectral":
-        schedule = make_schedule(cfg.tableau, h)
-        step = lambda mu: isospectral_sdirk_step(mu, system, cfg, schedule)
+        step = lambda mu: isospectral_sdirk_step(mu, system, cfg, h)
     elif method == "gawlik":
         step = lambda mu: gawlik_step(mu, h, system, cfg)
     else:
@@ -145,8 +145,7 @@ def run_recorded(
 
 
 def _final_state(mu0, system, cfg: StepperConfig, h: float, t_final: float):
-    schedule = make_schedule(cfg.tableau, h)
-    step = lambda mu: isospectral_sdirk_step(mu, system, cfg, schedule)
+    step = lambda mu: isospectral_sdirk_step(mu, system, cfg, h)
     for _, mu_n, _ in _drive(step, mu0, _step_count(t_final, h)):
         pass
     return mu_n
@@ -161,21 +160,21 @@ def _step_count(t_final: float, h: float) -> int:
 
 def convergence_study(
     system,
-    tableau: SdirkTableau,
     h_list,
     t_final: float,
     reference_h: float | None = None,
     mu0=None,
-    cfg: StepperConfig | None = None,
+    cfg: StepperConfig = StepperConfig(),
     seed: int = 0,
 ) -> ConvergenceReport:
-    """Self-convergence sweep of the isospectral stepper.
+    """Self-convergence sweep of the isospectral stepper under cfg.tableau.
 
     Integrates to t_final at each step size (sorted descending,
     duplicates kept) and at reference_h (default min(h_list)/8, and
     never allowed coarser than that), then reports final-state
     Frobenius errors against the reference and the least-squares slope
-    of log error vs log h.  Every step size must divide t_final.
+    of log error vs log h.  t_final, the step sizes and reference_h
+    must be positive and finite, and every step size must divide t_final.
 
     A non-convergent sweep member aborts the study; the raised error
     carries the report of the completed members in its `partial`
@@ -184,16 +183,19 @@ def convergence_study(
     h_values = sorted((float(h) for h in h_list), reverse=True)
     if len(h_values) < 2:
         raise ValueError("need at least two step sizes to fit a slope")
-    if any(h <= 0 for h in h_values):
-        raise ValueError("step sizes must be positive")
+    if not 0 < t_final < math.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
+    if not all(0 < h < math.inf for h in h_values):
+        raise ValueError(f"h_list step sizes must be positive and finite, got {list(h_list)}")
     h_min = h_values[-1]
     if reference_h is None:
         reference_h = h_min / 8.0
-    elif reference_h > h_min / 8.0 * (1.0 + 1e-12):
-        raise ValueError(f"reference_h must be at most min(h_list)/8 = {h_min / 8.0}")
+    elif not 0 < reference_h <= h_min / 8.0 * (1.0 + 1e-12):
+        raise ValueError(
+            f"reference_h must be positive and at most min(h_list)/8 = {h_min / 8.0}, got {reference_h}"
+        )
     if mu0 is None:
         mu0 = system.initial_state(seed)
-    cfg = replace(cfg, tableau=tableau) if cfg is not None else StepperConfig(tableau=tableau)
 
     def partial_report(errors):
         slope = _fit_slope(h_values[: len(errors)], errors) if len(errors) >= 2 else float("nan")

@@ -1,8 +1,10 @@
 """Isospectral SDIRK steppers and reference integrators.
 
-One macro step chains the tableau's implicit midpoint substeps over
-the staggered grid of half points mu_{r_0} = mu_n, ..., mu_{r_s} =
-mu_{n+1}.  For substep size h_i the stage matrix mu_c solves
+One macro step of size h chains the tableau's implicit midpoint
+substeps h_i = h * b_i over the staggered grid of half points
+mu_{r_0} = mu_n, ..., mu_{r_s} = mu_{n+1}, with r_i = b_1 + ... + b_i,
+and stage points at the fractions c_i = r_{i-1} + b_i / 2.  For
+substep size h_i the stage matrix mu_c solves
 
     (I - (h_i/2) B(mu_c)) mu_c (I + (h_i/2) B(mu_c)) = mu_prev
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadlie import cayley_conjugate, commutator, dcay_inv
-from .tableau import BUILTIN_TABLEAUS, SdirkTableau, StepSchedule
+from .tableau import BUILTIN_TABLEAUS, SdirkTableau
 
 __all__ = [
     "StepperConfig",
@@ -168,11 +170,18 @@ def solve_stage(mu_prev, h_i: float, system, cfg: StepperConfig) -> StageState:
     return StageState(mu_half=mu_half, mu_stage=mu_c, iters=iters, residual=residual)
 
 
-def isospectral_sdirk_step(mu_n, system, cfg: StepperConfig, schedule: StepSchedule):
-    """One macro step; returns (mu_next, stage states in order)."""
+def _substeps(cfg: StepperConfig, h: float) -> list[float]:
+    """Substep sizes h * b_i of one macro step under cfg.tableau."""
+    if h == 0.0:
+        raise ValueError("step size must be nonzero")
+    return [h * w for w in cfg.tableau.b]
+
+
+def isospectral_sdirk_step(mu_n, system, cfg: StepperConfig, h: float):
+    """One macro step of size h; returns (mu_next, stage states in order)."""
     mu = mu_n
     stages = []
-    for i, h_i in enumerate(schedule.h_i):
+    for i, h_i in enumerate(_substeps(cfg, h)):
         try:
             st = solve_stage(mu, h_i, system, cfg)
         except NonConvergenceError as exc:
@@ -202,13 +211,13 @@ def _drive(step, mu0, n_steps: int):
         yield n + 1, mu, stages
 
 
-def run_trajectory(mu0, system, cfg: StepperConfig, schedule: StepSchedule, n_steps: int):
+def run_trajectory(mu0, system, cfg: StepperConfig, h: float, n_steps: int):
     """Integrate n_steps macro steps; returns [(mu_n, stages_n)] for n = 0..n_steps.
 
     The initial entry carries an empty stage list.  Aborts on the
     first non-convergent stage with the step index attached.
     """
-    steps = _drive(lambda mu: isospectral_sdirk_step(mu, system, cfg, schedule), mu0, n_steps)
+    steps = _drive(lambda mu: isospectral_sdirk_step(mu, system, cfg, h), mu0, n_steps)
     return [(mu, stages) for _, mu, stages in steps]
 
 
@@ -246,8 +255,8 @@ def momentum_map(state: CotangentState):
     return state.g.conj().T @ state.p
 
 
-def cotangent_sdirk_step(state: CotangentState, system, cfg: StepperConfig, schedule: StepSchedule):
-    """One macro step of the unreduced scheme; returns (state, stage list).
+def cotangent_sdirk_step(state: CotangentState, system, cfg: StepperConfig, h: float):
+    """One macro step of size h of the unreduced scheme; returns (state, stage list).
 
     Each substage solves the increment equations
 
@@ -265,7 +274,7 @@ def cotangent_sdirk_step(state: CotangentState, system, cfg: StepperConfig, sche
         raise ValueError("cotangent stepping is implemented for the left variant only")
     g, p = state.g, state.p
     stages = []
-    for i, h_i in enumerate(schedule.h_i):
+    for i, h_i in enumerate(_substeps(cfg, h)):
         k_g = np.zeros_like(g)
         k_p = np.zeros_like(p)
         scale = cfg.solver_tol * (1.0 + float(np.linalg.norm(g)) + float(np.linalg.norm(p)))

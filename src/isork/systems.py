@@ -87,10 +87,6 @@ class IsospectralSystem:
     context: QuadraticStructure
     casimir_orders: tuple[int, ...] = (2,)
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.context.dtype
-
     def hamiltonian(self, w: np.ndarray) -> float:
         raise NotImplementedError
 

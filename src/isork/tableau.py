@@ -5,7 +5,9 @@ j < i, a_ii = b_i / 2, and c_i = sum_{j<i} b_j + b_i / 2.  A tableau of
 this shape is determined by its weight vector b alone, and the s-stage
 method is exactly the composition of s implicit midpoint substeps of
 sizes b_i * h.  Negative weights are legal and are what the 4th-order
-composition schemes use.
+composition schemes use.  The steppers read nothing else: a macro step
+of size h takes the substeps h * b_i in order, computed on the fly
+from StepperConfig.tableau.
 
 Builtin weight vectors:
 
@@ -26,12 +28,10 @@ import numpy as np
 
 __all__ = [
     "SdirkTableau",
-    "StepSchedule",
     "BUILTIN_TABLEAUS",
     "builtin",
     "parse_custom",
     "order_conditions",
-    "make_schedule",
 ]
 
 
@@ -103,37 +103,3 @@ def order_conditions(tableau: SdirkTableau) -> tuple[float, float]:
     """
     b = np.asarray(tableau.b, dtype=float)
     return abs(float(b.sum()) - 1.0), abs(float((b ** 3).sum()))
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Stage bookkeeping for one macro step of size h.
-
-    h_i = h * b_i are the substep sizes, r holds the accumulated weight
-    fractions r_0 = 0 .. r_s (r_s = 1 up to roundoff), and c_i =
-    r_{i-1} + b_i / 2 are the stage abscissae, so c_i - r_{i-1} is
-    exactly half the weight.  The full points of a trajectory sit at
-    t_n = n * h; within a step, half points sit at the r_i fractions
-    and stage points at the c_i fractions.
-    """
-
-    h: float
-    h_i: tuple[float, ...]
-    r: tuple[float, ...]
-    c: tuple[float, ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.h_i)
-
-
-def make_schedule(tableau: SdirkTableau, h: float) -> StepSchedule:
-    """Substep sizes and fractions for the tableau at macro step h."""
-    if h == 0.0:
-        raise ValueError("step size must be nonzero")
-    b = tableau.b
-    r = [0.0]
-    for w in b:
-        r.append(r[-1] + w)
-    c = tuple(r[i] + b[i] / 2.0 for i in range(len(b)))
-    return StepSchedule(h=float(h), h_i=tuple(h * w for w in b), r=tuple(r), c=c)

@@ -1,6 +1,7 @@
 """Command line: config merging, subcommands, exit codes."""
 
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -146,6 +147,31 @@ class TestDumpConfig:
         assert main(["dump-config", "--out", str(out)]) == 0
         assert "system = rigidbody" in out.read_text()
 
+    def test_every_field_has_a_round_tripping_flag(self, tmp_path, capsys):
+        # A non-default value for every RunConfig field, given by its
+        # flag, comes back from dump-config through the config parser.
+        out = tmp_path / "all.cfg"
+        values = {
+            "system": "zeitlin", "method": "custom", "custom_b": (0.25, 0.75), "h": 0.125,
+            "steps": 3, "seed": 7, "variant": "right", "update_form": "dcay",
+            "solver_tol": 1e-12, "solver_max_iters": 50, "n": 5, "N": 9,
+            "inertia": (2.0, 3.0, 5.0), "scale": 0.5, "forward_laplacian": True, "out": str(out),
+        }
+        assert set(values) == {f.name for f in fields(RunConfig)}
+        argv = ["dump-config"]
+        for name, value in values.items():
+            default = getattr(RunConfig(), name)
+            assert value != default, name
+            flag = "--" + name.replace("_", "-")
+            if value is True:
+                argv.append(flag)
+            elif isinstance(value, tuple):
+                argv += [flag, ",".join(repr(x) for x in value)]
+            else:
+                argv += [flag, str(value)]
+        assert main(argv) == 0
+        assert RunConfig(**parse_config_file(out)) == RunConfig(**values)
+
 
 class TestRunCommand:
     def test_writes_csv_and_summary(self, tmp_path, capsys):
@@ -242,7 +268,7 @@ class TestConvergenceCommand:
         assert lines[0] == "h,error"
         slope_line = [ln for ln in lines if ln.startswith("fitted slope:")][0]
         assert 1.8 < float(slope_line.split(":")[1]) < 2.2
-        assert out.read_text().startswith("h,error\n")
+        assert out.read_text() == "\n".join(lines[:4]) + "\n"
 
     def test_needs_three_points(self, capsys):
         code = main(["convergence", "--h-list", "0.2,0.1", "--t-final", "1.0"])
@@ -252,6 +278,11 @@ class TestConvergenceCommand:
     def test_non_divisible_h_is_config_error(self, capsys):
         code = main(["convergence", "--h-list", "0.3,0.2,0.1", "--t-final", "1.0"])
         assert code == 2
+
+    def test_infinite_t_final_is_config_error(self, capsys):
+        code = main(["convergence", "--h-list", "0.2,0.1,0.05", "--t-final", "inf"])
+        assert code == 2
+        assert "t_final must be positive and finite" in capsys.readouterr().err
 
 
 class TestCompareCommand:

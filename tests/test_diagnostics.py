@@ -110,7 +110,7 @@ class TestRunRecorded:
 
 class TestConvergenceStudy:
     def test_midpoint_is_second_order(self):
-        report = convergence_study(RigidBody(), builtin("midpoint"), [0.2, 0.1, 0.05], 1.0)
+        report = convergence_study(RigidBody(), [0.2, 0.1, 0.05], 1.0)
         assert isinstance(report, ConvergenceReport)
         assert report.h_values == (0.2, 0.1, 0.05)
         assert all(e > 0 for e in report.errors)
@@ -118,32 +118,37 @@ class TestConvergenceStudy:
 
     @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
     def test_duplicate_h_gives_identical_errors(self):
-        report = convergence_study(RigidBody(), builtin("midpoint"), [0.1, 0.1], 0.5)
+        report = convergence_study(RigidBody(), [0.1, 0.1], 0.5)
         assert report.errors[0] == report.errors[1]
 
     def test_input_validation(self):
-        sys = RigidBody()
-        tab = builtin("midpoint")
-        with pytest.raises(ValueError, match="two step sizes"):
-            convergence_study(sys, tab, [0.1], 1.0)
-        with pytest.raises(ValueError, match="positive"):
-            convergence_study(sys, tab, [0.1, -0.05], 1.0)
-        with pytest.raises(ValueError, match="reference_h"):
-            convergence_study(sys, tab, [0.1, 0.05], 1.0, reference_h=0.05)
-        with pytest.raises(ValueError, match="integer multiple"):
-            convergence_study(sys, tab, [0.3, 0.1], 1.0)
+        cases = [
+            ([0.1], 1.0, None, "two step sizes"),
+            ([0.1, -0.05], 1.0, None, "h_list.*positive"),
+            ([0.1, 0.05], 1.0, 0.05, "reference_h"),
+            ([0.3, 0.1], 1.0, None, "integer multiple"),
+            # Non-finite inputs name their field; NaN fails every ordering test.
+            ([0.2, 0.1, 0.05], math.inf, None, "t_final.*finite"),
+            ([0.2, 0.1, 0.05], math.nan, None, "t_final.*finite"),
+            ([0.2, 0.1, 0.05], -1.0, None, "t_final.*positive"),
+            ([0.2, 0.1, math.nan], 1.0, None, "h_list.*finite"),
+            ([0.2, 0.1, math.inf], 1.0, None, "h_list.*finite"),
+            ([0.2, 0.1, 0.05], 1.0, math.nan, "reference_h.*positive"),
+            ([0.2, 0.1, 0.05], 1.0, -0.001, "reference_h.*positive"),
+        ]
+        for h_list, t_final, reference_h, match in cases:
+            with pytest.raises(ValueError, match=match):
+                convergence_study(RigidBody(), h_list, t_final, reference_h)
 
     def test_explicit_reference_h(self):
-        report = convergence_study(
-            RigidBody(), builtin("midpoint"), [0.2, 0.1], 1.0, reference_h=0.0125
-        )
+        report = convergence_study(RigidBody(), [0.2, 0.1], 1.0, reference_h=0.0125)
         assert 1.7 < report.fitted_slope < 2.3
 
     def test_partial_report_attached_on_failure(self):
         sys = RigidBody()
         mu0 = sys.initial_state(42, scale=4.0)
         with pytest.raises(NonConvergenceError) as info:
-            convergence_study(sys, builtin("midpoint"), [2.0, 0.25], 2.0, mu0=mu0)
+            convergence_study(sys, [2.0, 0.25], 2.0, mu0=mu0)
         partial = info.value.partial
         assert partial.errors == ()
         assert math.isnan(partial.fitted_slope)
@@ -152,18 +157,18 @@ class TestConvergenceStudy:
         # The reference run's first step overflows, and the sweep's
         # runs share the stepping loop that attaches the step index.
         with pytest.raises(NonConvergenceError) as info:
-            convergence_study(RigidBody(), builtin("midpoint"), [1e300, 2e300, 4e300], 4e300)
+            convergence_study(RigidBody(), [1e300, 2e300, 4e300], 4e300)
         assert info.value.step == 0
         assert info.value.stage == 0
         assert info.value.partial.errors == ()
 
     def test_respects_caller_stepper_config(self):
+        # The sweep steps with the caller's tableau and update form.
         cfg = StepperConfig(update_form="dcay", tableau=builtin("sdirk2"))
-        report = convergence_study(
-            RigidBody(), builtin("midpoint"), [0.2, 0.1], 1.0, cfg=cfg
-        )
-        # The sweep swaps in the requested tableau but keeps the rest.
+        report = convergence_study(RigidBody(), [0.2, 0.1], 1.0, cfg=cfg)
         assert 1.8 < report.fitted_slope < 2.2
+        midpoint = convergence_study(RigidBody(), [0.2, 0.1], 1.0)
+        assert report.errors != midpoint.errors
 
 
 class TestCsv:

@@ -27,7 +27,7 @@ from isork.quadlie import (
     spectrum,
 )
 from isork.systems import RigidBody, TodaExtended, ZeitlinSphere
-from isork.tableau import builtin, make_schedule
+from isork.tableau import builtin
 
 
 class _ZeroFlow:
@@ -153,10 +153,10 @@ class TestMacroStep:
         for name in ("midpoint", "sdirk2", "yoshida4"):
             tab = builtin(name)
             right, _ = isospectral_sdirk_step(
-                mu, sys, _cfg(variant="right", tableau=tab), make_schedule(tab, 0.05)
+                mu, sys, _cfg(variant="right", tableau=tab), 0.05
             )
             left, _ = isospectral_sdirk_step(
-                mu, sys, _cfg(variant="left", tableau=tab), make_schedule(tab, -0.05)
+                mu, sys, _cfg(variant="left", tableau=tab), -0.05
             )
             assert np.array_equal(right, left)
 
@@ -164,22 +164,18 @@ class TestMacroStep:
         sys = RigidBody()
         mu = sys.initial_state(6)
         tab = builtin("sdirk2")
-        whole, _ = isospectral_sdirk_step(mu, sys, _cfg(tableau=tab), make_schedule(tab, 0.1))
-        mid = builtin("midpoint")
-        half_sched = make_schedule(mid, 0.05)
-        cfg = _cfg()
-        part, _ = isospectral_sdirk_step(mu, sys, cfg, half_sched)
-        part, _ = isospectral_sdirk_step(part, sys, cfg, half_sched)
+        whole, _ = isospectral_sdirk_step(mu, sys, _cfg(tableau=tab), 0.1)
+        cfg = _cfg(tableau=builtin("midpoint"))
+        part, _ = isospectral_sdirk_step(mu, sys, cfg, 0.05)
+        part, _ = isospectral_sdirk_step(part, sys, cfg, 0.05)
         assert np.array_equal(whole, part)
 
     def test_time_reversal(self):
         sys = RigidBody()
         mu = sys.initial_state(11)
         cfg = _cfg()
-        sched = make_schedule(cfg.tableau, 0.05)
-        back_sched = make_schedule(cfg.tableau, -0.05)
-        fwd, _ = isospectral_sdirk_step(mu, sys, cfg, sched)
-        back, _ = isospectral_sdirk_step(fwd, sys, cfg, back_sched)
+        fwd, _ = isospectral_sdirk_step(mu, sys, cfg, 0.05)
+        back, _ = isospectral_sdirk_step(fwd, sys, cfg, -0.05)
         assert np.linalg.norm(back - mu) < 1e-12
 
     def test_stage_error_carries_index(self):
@@ -187,7 +183,7 @@ class TestMacroStep:
         mu = sys.initial_state(42, scale=4.0)
         tab = builtin("sdirk2")
         with pytest.raises(NonConvergenceError) as info:
-            isospectral_sdirk_step(mu, sys, _cfg(tableau=tab), make_schedule(tab, 4.0))
+            isospectral_sdirk_step(mu, sys, _cfg(tableau=tab), 4.0)
         assert info.value.stage == 0
         assert "stage 0" in str(info.value)
 
@@ -197,7 +193,7 @@ class TestRunTrajectory:
         sys = RigidBody()
         mu0 = sys.initial_state(0)
         cfg = _cfg()
-        out = run_trajectory(mu0, sys, cfg, make_schedule(cfg.tableau, 0.05), 4)
+        out = run_trajectory(mu0, sys, cfg, 0.05, 4)
         assert len(out) == 5
         assert out[0][1] == []
         assert np.array_equal(out[0][0], mu0)
@@ -207,15 +203,14 @@ class TestRunTrajectory:
         sys = RigidBody()
         cfg = _cfg()
         with pytest.raises(ValueError):
-            run_trajectory(sys.initial_state(0), sys, cfg, make_schedule(cfg.tableau, 0.05), 0)
+            run_trajectory(sys.initial_state(0), sys, cfg, 0.05, 0)
 
     def test_deterministic(self):
         sys = ZeitlinSphere(N=5)
         mu0 = sys.initial_state(8)
         cfg = _cfg()
-        sched = make_schedule(cfg.tableau, 0.01)
-        a = run_trajectory(mu0, sys, cfg, sched, 20)
-        b = run_trajectory(mu0, sys, cfg, sched, 20)
+        a = run_trajectory(mu0, sys, cfg, 0.01, 20)
+        b = run_trajectory(mu0, sys, cfg, 0.01, 20)
         assert np.array_equal(a[-1][0], b[-1][0])
 
     def test_failure_carries_step_and_stage(self):
@@ -223,7 +218,7 @@ class TestRunTrajectory:
         mu0 = sys.initial_state(42, scale=4.0)
         cfg = _cfg()
         with pytest.raises(NonConvergenceError) as info:
-            run_trajectory(mu0, sys, cfg, make_schedule(cfg.tableau, 2.0), 3)
+            run_trajectory(mu0, sys, cfg, 2.0, 3)
         assert info.value.step == 0
         assert info.value.stage == 0
         assert "step 0" in str(info.value)
@@ -233,7 +228,7 @@ class TestCotangentForm:
     def test_zero_flow_is_identity(self):
         state = cotangent_lift(random_algebra_element(orthogonal_structure(3), 2))
         cfg = _cfg()
-        new, stages = cotangent_sdirk_step(state, _ZeroFlow(), cfg, make_schedule(cfg.tableau, 0.1))
+        new, stages = cotangent_sdirk_step(state, _ZeroFlow(), cfg, 0.1)
         assert np.array_equal(new.g, state.g)
         assert np.array_equal(new.p, state.p)
         assert stages[0].iters <= 2
@@ -242,7 +237,7 @@ class TestCotangentForm:
         state = cotangent_lift(RigidBody().initial_state(0))
         cfg = _cfg(variant="right")
         with pytest.raises(ValueError, match="left"):
-            cotangent_sdirk_step(state, RigidBody(), cfg, make_schedule(cfg.tableau, 0.1))
+            cotangent_sdirk_step(state, RigidBody(), cfg, 0.1)
 
     def test_lift_and_momentum_round_trip(self):
         mu = ZeitlinSphere(N=5).initial_state(1)
@@ -258,18 +253,17 @@ class TestCotangentForm:
         cfg = _cfg(tableau=tab, update_form="dcay")
         for sys, seed in ((RigidBody(), 4), (ZeitlinSphere(N=5), 2)):
             mu = sys.initial_state(seed)
-            sched = make_schedule(tab, 0.02)
             state = cotangent_lift(mu)
             for _ in range(20):
-                state, _ = cotangent_sdirk_step(state, sys, cfg, sched)
-                mu, _ = isospectral_sdirk_step(mu, sys, cfg, sched)
+                state, _ = cotangent_sdirk_step(state, sys, cfg, 0.02)
+                mu, _ = isospectral_sdirk_step(mu, sys, cfg, 0.02)
             assert np.linalg.norm(momentum_map(state) - mu) < 1e-11
 
     def test_stage_pair_is_half_point_mean(self):
         sys = RigidBody()
         cfg = _cfg()
         state = cotangent_lift(sys.initial_state(5))
-        new, stages = cotangent_sdirk_step(state, sys, cfg, make_schedule(cfg.tableau, 0.1))
+        new, stages = cotangent_sdirk_step(state, sys, cfg, 0.1)
         st = stages[0]
         assert np.allclose(st.g_stage, (state.g + new.g) / 2.0, atol=1e-15)
         assert np.allclose(st.p_stage, (state.p + new.p) / 2.0, atol=1e-15)
@@ -279,10 +273,9 @@ class TestCotangentForm:
         # conserves the quadratic group constraint to solver tolerance.
         sys = RigidBody()
         cfg = _cfg()
-        sched = make_schedule(cfg.tableau, 0.05)
         state = cotangent_lift(sys.initial_state(3))
         for _ in range(10):
-            state, _ = cotangent_sdirk_step(state, sys, cfg, sched)
+            state, _ = cotangent_sdirk_step(state, sys, cfg, 0.05)
         group_res, _ = membership_residuals(state.g, sys.context)
         assert group_res < 1e-10
 
@@ -308,7 +301,7 @@ class TestGawlikBaseline:
         cfg = _cfg()
 
         def gap(h):
-            iso, _ = isospectral_sdirk_step(mu, sys, cfg, make_schedule(cfg.tableau, h))
+            iso, _ = isospectral_sdirk_step(mu, sys, cfg, h)
             return np.linalg.norm(gawlik_step(mu, h, sys, cfg)[0] - iso)
 
         ratio = gap(0.1) / gap(0.05)
@@ -321,11 +314,10 @@ class TestGawlikBaseline:
         mu0 = sys.initial_state(0)
         spec0 = spectrum(mu0)
         cfg = _cfg()
-        sched = make_schedule(cfg.tableau, 0.1)
         mu_gaw = mu_iso = mu0
         for _ in range(100):
             mu_gaw, _ = gawlik_step(mu_gaw, 0.1, sys, cfg)
-            mu_iso, _ = isospectral_sdirk_step(mu_iso, sys, cfg, sched)
+            mu_iso, _ = isospectral_sdirk_step(mu_iso, sys, cfg, 0.1)
         gaw_drift = np.max(np.abs(spectrum(mu_gaw) - spec0))
         iso_drift = np.max(np.abs(spectrum(mu_iso) - spec0))
         assert gaw_drift > 1e-8
@@ -379,7 +371,6 @@ def test_toda_lax_form_held_by_stepper():
     sys = TodaExtended(n=4)
     mu = sys.initial_state(0)
     cfg = _cfg()
-    sched = make_schedule(cfg.tableau, 0.05)
     for _ in range(50):
-        mu, _ = isospectral_sdirk_step(mu, sys, cfg, sched)
+        mu, _ = isospectral_sdirk_step(mu, sys, cfg, 0.05)
         assert sys.state_residual(mu) < 1e-11

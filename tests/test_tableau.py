@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from isork import integrator
+from isork.integrator import StepperConfig, cotangent_lift, cotangent_sdirk_step, isospectral_sdirk_step
+from isork.systems import RigidBody
 from isork.tableau import (
     BUILTIN_TABLEAUS,
     SdirkTableau,
     builtin,
-    make_schedule,
     order_conditions,
     parse_custom,
 )
@@ -73,34 +75,49 @@ class TestParseCustom:
 
 
 class TestSchedule:
-    def test_substeps_partition_the_step(self):
+    """The substeps a macro step takes: h * b_i over cfg.tableau, in order."""
+
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        sizes = []
+        real = integrator.solve_stage
+
+        def spy(mu_prev, h_i, system, cfg):
+            sizes.append(h_i)
+            return real(mu_prev, h_i, system, cfg)
+
+        monkeypatch.setattr(integrator, "solve_stage", spy)
+        return sizes
+
+    def _step(self, tab, h):
+        sys = RigidBody()
+        return isospectral_sdirk_step(sys.initial_state(0), sys, StepperConfig(tableau=tab), h)
+
+    def test_substeps_partition_the_step(self, taken):
         h = 0.3
         for tab in BUILTIN_TABLEAUS.values():
-            sched = make_schedule(tab, h)
-            assert len(sched.h_i) == tab.s
-            assert abs(sum(sched.h_i) - h) < 1e-15
-            assert abs(sched.r[-1] - 1.0) < 1e-15
+            taken.clear()
+            self._step(tab, h)
+            assert taken == [h * w for w in tab.b]
+            assert abs(sum(taken) - h) < 1e-15
+            assert order_conditions(tab)[0] <= 1e-15
 
-    def test_stage_centers_sit_at_substep_midpoints(self):
-        # sched.r carries r_0 = 0 first, so zipping with b pairs each
-        # weight with the fraction entering its substep.
-        tab = builtin("suzuki4")
-        sched = make_schedule(tab, 0.1)
-        assert len(sched.r) == tab.s + 1
-        for b_i, r_prev, c_i in zip(tab.b, sched.r, sched.c):
-            assert abs(c_i - (r_prev + 0.5 * b_i)) < 1e-15
+    def test_negative_weight_gives_backward_substep(self, taken):
+        self._step(builtin("yoshida4"), 0.1)
+        assert taken[1] < 0 < taken[0]
 
-    def test_negative_weight_gives_backward_substep(self):
-        sched = make_schedule(builtin("yoshida4"), 0.1)
-        assert sched.h_i[1] < 0
-
-    def test_negative_h_allowed(self):
-        sched = make_schedule(builtin("midpoint"), -0.2)
-        assert sched.h_i == (-0.2,)
+    def test_negative_h_allowed(self, taken):
+        self._step(builtin("midpoint"), -0.2)
+        assert taken == [-0.2]
 
     def test_zero_h_rejected(self):
-        with pytest.raises(ValueError):
-            make_schedule(builtin("midpoint"), 0.0)
+        sys = RigidBody()
+        cfg = StepperConfig()
+        mu = sys.initial_state(0)
+        with pytest.raises(ValueError, match="nonzero"):
+            isospectral_sdirk_step(mu, sys, cfg, 0.0)
+        with pytest.raises(ValueError, match="nonzero"):
+            cotangent_sdirk_step(cotangent_lift(mu), sys, cfg, 0.0)
 
 
 def test_tableau_is_frozen():
