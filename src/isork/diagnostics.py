@@ -152,7 +152,10 @@ def _final_state(mu0, system, cfg: StepperConfig, h: float, t_final: float):
 
 
 def _step_count(t_final: float, h: float) -> int:
-    n = round(t_final / h)
+    steps = t_final / h
+    if not math.isfinite(steps):
+        raise ValueError(f"step size h = {h} is too small: t_final / h = {steps} is not finite")
+    n = round(steps)
     if n < 1 or abs(n * h - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError(f"t_final = {t_final} is not an integer multiple of h = {h}")
     return n

@@ -126,9 +126,9 @@ class StageState:
 def _fixed_point(mu_prev, a, b_map, tol, max_iters):
     """Iterate mu <- mu_prev + a [B(mu), mu] + a^2 B(mu) mu B(mu).
 
-    Seeded at mu_prev; the residual tested each sweep is the stage
-    equation defect of the current iterate, so the returned matrix
-    satisfies ||(I - a B) mu (I + a B) - mu_prev||_F within
+    Seeded at mu_prev; returns (mu, B(mu), iters, residual), the
+    residual being the stage equation defect of mu, so mu satisfies
+    ||(I - a B) mu (I + a B) - mu_prev||_F within
     tol * (1 + ||mu_prev||_F).  B is re-evaluated every sweep (it may
     be nonlinear); iters counts residual evaluations, so an already
     converged seed (B = 0 or a = 0) reports 1.
@@ -145,7 +145,7 @@ def _fixed_point(mu_prev, a, b_map, tol, max_iters):
             defect = mu - a * (bmu - mu @ b) - (a * a) * (bmu @ b) - mu_prev
             residual = float(np.linalg.norm(defect))
             if residual <= scale:
-                return mu, k + 1, residual
+                return mu, b, k + 1, residual
             if not np.isfinite(residual):
                 raise NonConvergenceError(k + 1, residual)
             mu = mu - defect
@@ -161,8 +161,8 @@ def solve_stage(mu_prev, h_i: float, system, cfg: StepperConfig) -> StageState:
     """
     sign = _VARIANT_SIGNS[cfg.variant]
     a = sign * h_i / 2.0
-    mu_c, iters, residual = _fixed_point(mu_prev, a, system.B, cfg.solver_tol, cfg.solver_max_iters)
-    xi = (sign * h_i) * system.B(mu_c)
+    mu_c, b, iters, residual = _fixed_point(mu_prev, a, system.B, cfg.solver_tol, cfg.solver_max_iters)
+    xi = (sign * h_i) * b
     if cfg.update_form == "conjugation":
         mu_half = cayley_conjugate(xi, mu_prev)
     else:
@@ -332,7 +332,7 @@ def gawlik_step(mu_tilde, h: float, system, cfg: StepperConfig | None = None):
     if cfg is None:
         cfg = StepperConfig()
     rhs = dcay_inv(-h * system.B(mu_tilde), mu_tilde)
-    mu, iters, residual = _fixed_point(rhs, h / 2.0, system.B, cfg.solver_tol, cfg.solver_max_iters)
+    mu, _, iters, residual = _fixed_point(rhs, h / 2.0, system.B, cfg.solver_tol, cfg.solver_max_iters)
     return mu, [StageState(mu_half=mu, mu_stage=mu, iters=iters, residual=residual)]
 
 

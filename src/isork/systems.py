@@ -10,14 +10,14 @@ pairing <xi, alpha> = trace(xi^dagger alpha):
   form to full gl(n), with the quadratic-trace energy term.
 * ZeitlinSphere: the spin-truncated vorticity equation on the sphere,
   skew-Hermitian traceless W with a stream matrix obtained by inverting
-  the double-commutator Laplacian built from irreducible spin
-  generators.
+  the double-commutator Laplacian of irreducible spin generators, which
+  is tridiagonal on each diagonal W[i, i+k] and is inverted per diagonal.
 
 Every analytic gradient here is validated against central finite
 differences in the test suite; B maps are pure functions evaluated
 fresh at every solver iteration.  System objects are immutable after
-construction (Laplacian factorizations are precomputed), so one
-instance can serve any number of concurrent trajectories.
+construction (the Laplacian's per-diagonal factors are precomputed),
+so one instance can serve any number of concurrent trajectories.
 """
 
 from __future__ import annotations
@@ -265,8 +265,7 @@ def zeitlin_spin_generators(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     s = (N - 1) / 2.0
     m = -s + np.arange(N)
     j3 = np.diag(m).astype(complex)
-    jplus = np.zeros((N, N), dtype=complex)
-    jplus[np.arange(1, N), np.arange(N - 1)] = np.sqrt(s * (s + 1) - m[:-1] * (m[:-1] + 1))
+    jplus = np.diag(np.sqrt(s * (s + 1) - m[:-1] * (m[:-1] + 1)), -1).astype(complex)
     jminus = jplus.conj().T
     j1 = (jplus + jminus) / 2.0
     j2 = (jplus - jminus) / 2j
@@ -276,55 +275,67 @@ def zeitlin_spin_generators(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return s1, s2, s3
 
 
-def zeitlin_laplacian(w: np.ndarray, N: int | None = None) -> np.ndarray:
-    """Hoppe Laplacian -sum_k [S_k, [S_k, w]].
+@functools.lru_cache(maxsize=None)
+def _laplacian_coefficients(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entries (d, c) of the Laplacian, L(w) = 2s(s+1) w - 2 sum_k J_k w J_k.
+
+    L(w)_ij = d_ij w_ij - c_{i-1,j-1} w_{i-1,j-1} - c_ij w_{i+1,j+1} with
+    d = 2s(s+1) - 2 m m^T and c = l l^T, l_i = sqrt(s(s+1) - m_i(m_i+1))
+    being the J+ entries of `zeitlin_spin_generators` (l_{N-1} = 0).
+    """
+    s = (N - 1) / 2.0
+    m = -s + np.arange(N)
+    ell = np.sqrt(s * (s + 1) - m * (m + 1))
+    return 2.0 * s * (s + 1) - 2.0 * np.outer(m, m), np.outer(ell, ell)
+
+
+def zeitlin_laplacian(w: np.ndarray) -> np.ndarray:
+    """Hoppe Laplacian -sum_k [S_k, [S_k, w]], in O(N^2) from its entries.
 
     The sign makes the operator positive semidefinite with eigenvalue
     l(l+1) on the spin-l matrix harmonics; its kernel is spanned by the
     identity, so it is invertible on traceless matrices.
     """
-    if N is None:
-        N = w.shape[0]
-    out = np.zeros_like(w, dtype=complex)
-    for s_k in zeitlin_spin_generators(N):
-        inner = s_k @ w - w @ s_k
-        out -= s_k @ inner - inner @ s_k
+    d, c = _laplacian_coefficients(w.shape[0])
+    out = d * w
+    out[1:, 1:] -= c[:-1, :-1] * w[:-1, :-1]
+    out[:-1, :-1] -= c[:-1, :-1] * w[1:, 1:]
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _laplacian_pinv(N: int) -> np.ndarray:
-    """Pseudoinverse of the Laplacian as a dense operator on vec(w).
+def _laplacian_pinv(N: int) -> list[np.ndarray]:
+    """Pseudoinverse of the Laplacian: for k = 1-N..N-1, a real block for
+    the symmetric tridiagonal matrix it applies to the diagonal w[i, i+k].
 
-    The operator matrix is Hermitian positive semidefinite with a
-    one-dimensional kernel (the identity direction); eigenvalues at or
-    below 1 are treated as that kernel, safe because the smallest
-    nonzero eigenvalue is l(l+1) = 2.
+    Eigenvalues at or below 1 are the kernel (the identity, on k = 0),
+    safe because the smallest nonzero eigenvalue is l(l+1) = 2.
     """
-    eye = np.eye(N)
-    op = np.zeros((N * N, N * N), dtype=complex)
-    for s_k in zeitlin_spin_generators(N):
-        ad = np.kron(s_k, eye) - np.kron(eye, s_k.T)
-        op -= ad @ ad
-    evals, vecs = np.linalg.eigh(op)
-    inv = np.where(evals > 1.0, 1.0 / np.where(evals > 1.0, evals, 1.0), 0.0)
-    pinv = (vecs * inv) @ vecs.conj().T
-    pinv.setflags(write=False)
-    return pinv
+    d, c = _laplacian_coefficients(N)
+    blocks = []
+    for k in range(1 - N, N):
+        off = -np.diagonal(c, k)[:-1]
+        evals, vecs = np.linalg.eigh(np.diag(np.diagonal(d, k)) + np.diag(off, 1) + np.diag(off, -1))
+        inv = np.where(evals > 1.0, 1.0 / np.where(evals > 1.0, evals, 1.0), 0.0)
+        blocks.append((vecs * inv) @ vecs.T)
+    return blocks
 
 
-def zeitlin_laplacian_inv(w: np.ndarray, N: int | None = None) -> np.ndarray:
-    """Solve laplacian(p) = w for traceless w via the cached spectral factorization.
+def zeitlin_laplacian_inv(w: np.ndarray) -> np.ndarray:
+    """Solve laplacian(p) = w for traceless w, diagonal by diagonal.
 
     Raises ValueError when the input has a trace beyond roundoff scale,
     since the identity component is not in the operator's range.
     """
-    if N is None:
-        N = w.shape[0]
+    N = w.shape[0]
     trace_residual = abs(complex(np.trace(w)))
     if trace_residual > 1e-10 * (1.0 + float(np.linalg.norm(w))):
         raise ValueError(f"inverse Laplacian needs traceless input (|tr| = {trace_residual:.3e})")
-    return (_laplacian_pinv(N) @ w.reshape(-1)).reshape(N, N)
+    flat = np.empty(N * N, dtype=complex)
+    for k, block in enumerate(_laplacian_pinv(N), start=1 - N):
+        start = max(k, -k * N)  # flat index of w[0, k] or w[-k, 0]; the diagonal has stride N + 1
+        flat[start : start + (N - abs(k)) * (N + 1) : N + 1] = block @ np.diagonal(w, k)
+    return flat.reshape(N, N)
 
 
 class ZeitlinSphere(IsospectralSystem):
@@ -355,8 +366,7 @@ class ZeitlinSphere(IsospectralSystem):
         N = int(N)
         if N < 2:
             raise ValueError("truncation size must be at least 2")
-        self.n = N
-        self.N = N
+        self.n = self.N = N
         self.context = special_unitary_structure(N)
         self.forward_laplacian = bool(forward_laplacian)
         self.spin_generators = zeitlin_spin_generators(N)
@@ -366,7 +376,7 @@ class ZeitlinSphere(IsospectralSystem):
 
     def _stream(self, w: np.ndarray) -> np.ndarray:
         if self.forward_laplacian:
-            return self._scale * zeitlin_laplacian(w, self.N)
+            return self._scale * zeitlin_laplacian(w)
         # Implicit stage iterates wander O(h^2) off the traceless slice
         # inside u(N); that direction is the Laplacian kernel and both
         # update forms return the half points to su(N) exactly, so the
@@ -374,7 +384,7 @@ class ZeitlinSphere(IsospectralSystem):
         trace = np.trace(w) / self.N
         if trace != 0.0:
             w = w - trace * np.eye(self.N)
-        return self._scale * zeitlin_laplacian_inv(w, self.N)
+        return self._scale * zeitlin_laplacian_inv(w)
 
     def hamiltonian(self, w: np.ndarray) -> float:
         return 0.5 * float(np.real(np.trace(self._stream(w).conj().T @ w)))

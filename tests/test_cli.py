@@ -284,6 +284,11 @@ class TestConvergenceCommand:
         assert code == 2
         assert "t_final must be positive and finite" in capsys.readouterr().err
 
+    def test_subnormal_h_is_config_error(self, capsys):
+        code = main(["convergence", "--h-list", "1e-320,2e-320,4e-320", "--t-final", "1"])
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_methods_share_initial_state(self, tmp_path, capsys):

@@ -135,6 +135,8 @@ class TestConvergenceStudy:
             ([0.2, 0.1, math.inf], 1.0, None, "h_list.*finite"),
             ([0.2, 0.1, 0.05], 1.0, math.nan, "reference_h.*positive"),
             ([0.2, 0.1, 0.05], 1.0, -0.001, "reference_h.*positive"),
+            # Subnormal step sizes pass the checks above but overflow t_final / h.
+            ([1e-320, 2e-320, 4e-320], 1.0, None, "h = .*not finite"),
         ]
         for h_list, t_final, reference_h, match in cases:
             with pytest.raises(ValueError, match=match):

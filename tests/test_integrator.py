@@ -39,6 +39,18 @@ class _ZeroFlow:
         return np.zeros_like(w)
 
 
+class _CountingB:
+    """Delegates B to a system and counts the evaluations."""
+
+    def __init__(self, system):
+        self.system = system
+        self.calls = 0
+
+    def B(self, w):
+        self.calls += 1
+        return self.system.B(w)
+
+
 class _ConstantFlow:
     """B fixed, so mu_dot = [B0, mu] is linear with exact solution Ad_exp."""
 
@@ -99,6 +111,13 @@ class TestSolveStage:
         assert 3 <= st.iters <= 6
         assert st.iters <= 50
         assert st.residual <= 1e-13 * (1.0 + np.linalg.norm(mu))
+
+    def test_one_B_evaluation_per_sweep(self):
+        # The generator of the converged iterate is reused for the update.
+        for form in ("conjugation", "dcay"):
+            spy = _CountingB(RigidBody())
+            st = solve_stage(spy.system.initial_state(42), 0.01, spy, _cfg(update_form=form))
+            assert spy.calls == st.iters > 1
 
     def test_stage_matrix_satisfies_implicit_relation(self):
         # The converged stage matrix is the dcay image of the entering

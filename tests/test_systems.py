@@ -156,6 +156,34 @@ class TestZeitlinOperators:
         with pytest.raises(ValueError, match="traceless"):
             zeitlin_laplacian_inv(np.eye(5, dtype=complex))
 
+    def test_forward_matches_commutators(self):
+        for N in (2, 3, 5, 8, 33):
+            w = random_algebra_element(ZeitlinSphere(N=N).context, N)
+            ref = -sum(commutator(s_k, commutator(s_k, w)) for s_k in zeitlin_spin_generators(N))
+            assert np.linalg.norm(zeitlin_laplacian(w) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_inverse_matches_dense_pseudoinverse(self):
+        # The reference: the operator as a dense N^2 x N^2 matrix on
+        # vec(w), inverted through its eigendecomposition.
+        for N in (5, 9, 17, 33):
+            eye = np.eye(N)
+            op = np.zeros((N * N, N * N), dtype=complex)
+            for s_k in zeitlin_spin_generators(N):
+                ad = np.kron(s_k, eye) - np.kron(eye, s_k.T)
+                op -= ad @ ad
+            evals, vecs = np.linalg.eigh(op)
+            inv = np.where(evals > 1.0, 1.0 / np.where(evals > 1.0, evals, 1.0), 0.0)
+            pinv = (vecs * inv) @ vecs.conj().T
+            for seed in range(3):
+                w = random_algebra_element(ZeitlinSphere(N=N).context, seed)
+                ref = (pinv @ w.reshape(-1)).reshape(N, N)
+                assert np.linalg.norm(zeitlin_laplacian_inv(w) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_large_round_trip(self):
+        w = random_algebra_element(ZeitlinSphere(N=65).context, 0)
+        back = zeitlin_laplacian(zeitlin_laplacian_inv(w))
+        assert np.linalg.norm(back - w) < 1e-12 * np.linalg.norm(w)
+
 
 class TestZeitlinSystem:
     def test_zonal_equilibrium(self):
