@@ -12,7 +12,8 @@ prints the effective configuration in exactly this grammar, so its
 output re-parses to the same configuration.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 stage solver
-non-convergence, 4 I/O failure.
+non-convergence, 4 I/O failure, 5 numerical breakdown (a linear
+algebra failure, such as a singular Cayley solve, while stepping).
 """
 
 from __future__ import annotations
@@ -272,6 +273,8 @@ def cmd_convergence(config: RunConfig, h_list, t_final: float, reference_h) -> i
     mu0 = system.initial_state(config.seed, config.scale)
     try:
         report = convergence_study(system, h_list, t_final, reference_h, mu0=mu0, cfg=cfg)
+    except np.linalg.LinAlgError:
+        raise  # a numerical breakdown, not a config error, though also a ValueError
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     table = "h,error\n" + "".join(f"{h!r},{err!r}\n" for h, err in zip(report.h_values, report.errors))
@@ -402,6 +405,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ substep size h_i the stage matrix mu_c solves
 
     (I - (h_i/2) B(mu_c)) mu_c (I + (h_i/2) B(mu_c)) = mu_prev
 
-by fixed-point iteration, and the next half point is either
+by fixed-point iteration (plain Picard sweeps, then Anderson mixing
+for stages that contract slowly; see _fixed_point), and the next half
+point is either
 
     dcay form:     (I + (h_i/2) B(mu_c)) mu_c (I - (h_i/2) B(mu_c))
     conjugation:   cay(h_i B(mu_c)) mu_prev cay(h_i B(mu_c))^{-1}
@@ -66,9 +68,11 @@ _UPDATE_FORMS = ("conjugation", "dcay")
 class NonConvergenceError(RuntimeError):
     """Fixed-point stage solve failed to reach tolerance.
 
-    Signals a step size too large for contraction; halving it restores
-    convergence.  Callers abort the run rather than continue from an
-    unconverged stage.
+    Raised when the stage defect turns non-finite or stays above
+    tolerance after solver_max_iters sweeps.  Anderson mixing widens
+    the range of step sizes that converge, but a step too large for the
+    iteration still diverges; halving it restores convergence.  Callers
+    abort the run rather than continue from an unconverged stage.
     """
 
     def __init__(self, iters: int, residual: float, step: int | None = None, stage: int | None = None):
@@ -123,19 +127,77 @@ class StageState:
     residual: float
 
 
+# Stages that plain Picard settles within this many sweeps never reach
+# the mixing code, so they keep exactly the arithmetic of the plain
+# iteration; only slowly contracting stages pay for the mixing.
+_PLAIN_SWEEPS = 6
+# Number of past residual differences in each Anderson least-squares fit.
+_MIXING_DEPTH = 8
+
+
+class _AndersonMixer:
+    """Type-II Anderson mixing for a fixed-point iteration x <- G(x).
+
+    Walker & Ni, "Anderson acceleration for fixed-point iterations",
+    SIAM J. Numer. Anal. 49 (2011).  Each call takes the iterate x and
+    G(x) and returns G(x) - dG gamma, where gamma minimises
+    ||f - dF gamma||_2 for the residual f = G(x) - x over the flattened
+    differences dF, dG of the last _MIXING_DEPTH residuals and map
+    values.  With so few columns the normal equations are cheaper than
+    a general least-squares call.  The first call, and any call whose
+    solve fails (LinAlgError or a non-finite gamma), returns the plain
+    update G(x); the caller's stopping test alone decides convergence.
+    """
+
+    def __init__(self):
+        self._prev = None
+        self._stored = 0
+        self._dg = self._df = None
+
+    def __call__(self, x, gx):
+        g = gx.ravel()
+        f = g - x.ravel()
+        if self._prev is None:
+            self._dg = np.empty((_MIXING_DEPTH, g.size), f.dtype)
+            self._df = np.empty_like(self._dg)
+            self._prev = g, f
+            return gx
+        row = self._stored % _MIXING_DEPTH
+        self._dg[row] = g - self._prev[0]
+        self._df[row] = f - self._prev[1]
+        self._stored += 1
+        self._prev = g, f
+        m = min(self._stored, _MIXING_DEPTH)
+        df = self._df[:m]
+        dfh = df.conj()
+        try:
+            gamma = np.linalg.solve(dfh @ df.T, dfh @ f)
+        except np.linalg.LinAlgError:
+            return gx
+        if not np.isfinite(gamma).all():
+            return gx
+        return (g - gamma @ self._dg[:m]).reshape(gx.shape)
+
+
 def _fixed_point(mu_prev, a, b_map, tol, max_iters):
-    """Iterate mu <- mu_prev + a [B(mu), mu] + a^2 B(mu) mu B(mu).
+    """Solve mu = mu_prev + a [B(mu), mu] + a^2 B(mu) mu B(mu).
 
     Seeded at mu_prev; returns (mu, B(mu), iters, residual), the
     residual being the stage equation defect of mu, so mu satisfies
     ||(I - a B) mu (I + a B) - mu_prev||_F within
-    tol * (1 + ||mu_prev||_F).  B is re-evaluated every sweep (it may
-    be nonlinear); iters counts residual evaluations, so an already
-    converged seed (B = 0 or a = 0) reports 1.
+    tol * (1 + ||mu_prev||_F).  Each sweep evaluates B once (it may be
+    nonlinear) and the defect at the current iterate.  The first
+    _PLAIN_SWEEPS sweeps take the plain Picard update mu - defect; a
+    stage still unconverged after them continues with Anderson mixing
+    of the Picard updates (_AndersonMixer).  iters counts sweeps, so an
+    already converged seed (B = 0 or a = 0) reports 1.  Raises
+    NonConvergenceError on a non-finite defect or after max_iters
+    sweeps.
     """
     mu = mu_prev
     scale = tol * (1.0 + float(np.linalg.norm(mu_prev)))
     residual = np.inf
+    mix = None
     # Divergence is detected and raised below; silence the transient
     # overflow warnings it produces on the way.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -148,7 +210,12 @@ def _fixed_point(mu_prev, a, b_map, tol, max_iters):
                 return mu, b, k + 1, residual
             if not np.isfinite(residual):
                 raise NonConvergenceError(k + 1, residual)
-            mu = mu - defect
+            if k + 1 < _PLAIN_SWEEPS:
+                mu = mu - defect
+            else:
+                if mix is None:
+                    mix = _AndersonMixer()
+                mu = mix(mu, mu - defect)
     raise NonConvergenceError(max_iters, residual)
 
 
@@ -264,7 +331,8 @@ def cotangent_sdirk_step(state: CotangentState, system, cfg: StepperConfig, h: f
         k_p = -(p + (h_i/2) k_p) B(mu_c)
         mu_c = (g + (h_i/2) k_g)^dagger (p + (h_i/2) k_p)
 
-    by fixed-point iteration seeded at zero increments, then advances
+    by fixed-point iteration seeded at zero increments, mixed after
+    _PLAIN_SWEEPS sweeps as in the reduced stage solve, then advances
     the half points by h_i k.  The converged stage pair is exactly the
     mean of the adjacent half points, and reducing the result through
     the momentum map reproduces the reduced stepper.  Only the left
@@ -280,6 +348,7 @@ def cotangent_sdirk_step(state: CotangentState, system, cfg: StepperConfig, h: f
         scale = cfg.solver_tol * (1.0 + float(np.linalg.norm(g)) + float(np.linalg.norm(p)))
         half = h_i / 2.0
         residual = np.inf
+        mix = None
         with np.errstate(over="ignore", invalid="ignore"):
             for sweep in range(cfg.solver_max_iters):
                 g_mid = g + half * k_g
@@ -292,11 +361,17 @@ def cotangent_sdirk_step(state: CotangentState, system, cfg: StepperConfig, h: f
                     float(np.linalg.norm(k_g_new - k_g)),
                     float(np.linalg.norm(k_p_new - k_p)),
                 )
-                k_g, k_p = k_g_new, k_p_new
                 if residual <= scale:
+                    k_g, k_p = k_g_new, k_p_new
                     break
                 if not np.isfinite(residual):
                     raise NonConvergenceError(sweep + 1, residual, stage=i)
+                if sweep + 1 < _PLAIN_SWEEPS:
+                    k_g, k_p = k_g_new, k_p_new
+                else:
+                    if mix is None:
+                        mix = _AndersonMixer()
+                    k_g, k_p = mix(np.stack((k_g, k_p)), np.stack((k_g_new, k_p_new)))
             else:
                 raise NonConvergenceError(cfg.solver_max_iters, residual, stage=i)
         g_mid = g + half * k_g

@@ -3,6 +3,7 @@
 import os
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from isork.cli import (
@@ -236,7 +237,7 @@ class TestExitCodes:
 
     def test_nonconvergence(self, tmp_path, capsys):
         code = main(
-            ["run", "--h", "2.0", "--scale", "4.0", "--steps", "2",
+            ["run", "--h", "8.0", "--scale", "4.0", "--steps", "2",
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 3
@@ -254,6 +255,41 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--steps", "2"],
+            ["convergence", "--h-list", "0.2,0.1,0.05", "--t-final", "0.2"],
+            ["compare", "--steps", "2", "--methods", "midpoint"],
+        ],
+        ids=["run", "convergence", "compare"],
+    )
+    def test_numerical_breakdown(self, argv, tmp_path, capsys, monkeypatch):
+        # LinAlgError is a ValueError, yet a singular solve while stepping
+        # is neither a config error nor a traceback.
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("isork.diagnostics.isospectral_sdirk_step", singular)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 5
+        assert "numerical error: Singular matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--system", "toda", "--h", "0.2", "--steps", "50"],
+            ["compare", "--system", "toda", "--h", "0.2", "--methods", "midpoint"],
+        ],
+        ids=["run", "compare"],
+    )
+    def test_toda_at_h_0_2_converges(self, argv, tmp_path, monkeypatch):
+        # Plain Picard iteration needs more than the default 200 sweeps
+        # for the first Toda stage at h = 0.2 (exit 3); with mixing no
+        # stage of these runs needs 30.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
 
 
 class TestConvergenceCommand:

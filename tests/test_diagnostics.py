@@ -104,7 +104,7 @@ class TestRunRecorded:
         sys = RigidBody()
         mu0 = sys.initial_state(42, scale=4.0)
         with pytest.raises(NonConvergenceError) as info:
-            run_recorded(sys, mu0, StepperConfig(), 2.0, 5)
+            run_recorded(sys, mu0, StepperConfig(), 8.0, 5)
         assert info.value.step == 0
 
 
@@ -150,7 +150,7 @@ class TestConvergenceStudy:
         sys = RigidBody()
         mu0 = sys.initial_state(42, scale=4.0)
         with pytest.raises(NonConvergenceError) as info:
-            convergence_study(sys, [2.0, 0.25], 2.0, mu0=mu0)
+            convergence_study(sys, [8.0, 0.25], 8.0, mu0=mu0)
         partial = info.value.partial
         assert partial.errors == ()
         assert math.isnan(partial.fitted_slope)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from isork.integrator import (
+    _PLAIN_SWEEPS,
+    _AndersonMixer,
     CotangentState,
     NonConvergenceError,
     StepperConfig,
@@ -65,6 +67,29 @@ def _cfg(**kw):
     return StepperConfig(**kw)
 
 
+def _picard_stage(mu_prev, h_i, system, tol, max_iters=10_000):
+    """Plain Picard stage solve, the reference for the mixed solver.
+
+    Same defect arithmetic and stopping test as the library; returns
+    (stage matrix, sweeps).
+    """
+    a = h_i / 2.0
+    mu = mu_prev
+    scale = tol * (1.0 + float(np.linalg.norm(mu_prev)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_iters):
+            b = system.B(mu)
+            bmu = b @ mu
+            defect = mu - a * (bmu - mu @ b) - (a * a) * (bmu @ b) - mu_prev
+            residual = float(np.linalg.norm(defect))
+            if residual <= scale:
+                return mu, k + 1
+            if not np.isfinite(residual):
+                break
+            mu = mu - defect
+    raise NonConvergenceError(k + 1, residual)
+
+
 class TestStepperConfig:
     def test_defaults(self):
         cfg = StepperConfig()
@@ -113,11 +138,16 @@ class TestSolveStage:
         assert st.residual <= 1e-13 * (1.0 + np.linalg.norm(mu))
 
     def test_one_B_evaluation_per_sweep(self):
-        # The generator of the converged iterate is reused for the update.
+        # The generator of the converged iterate is reused for the update,
+        # and the mixed sweeps of a slowly contracting Toda stage cost one
+        # evaluation each like the plain ones.
         for form in ("conjugation", "dcay"):
             spy = _CountingB(RigidBody())
             st = solve_stage(spy.system.initial_state(42), 0.01, spy, _cfg(update_form=form))
             assert spy.calls == st.iters > 1
+            spy = _CountingB(TodaExtended(4))
+            st = solve_stage(spy.system.initial_state(0), 0.1, spy, _cfg(update_form=form))
+            assert spy.calls == st.iters > _PLAIN_SWEEPS + 1
 
     def test_stage_matrix_satisfies_implicit_relation(self):
         # The converged stage matrix is the dcay image of the entering
@@ -151,9 +181,60 @@ class TestSolveStage:
         sys = RigidBody()
         mu = sys.initial_state(42, scale=4.0)
         with pytest.raises(NonConvergenceError):
-            solve_stage(mu, 2.0, sys, _cfg())
-        st = solve_stage(mu, 1.0, sys, _cfg())
+            solve_stage(mu, 4.0, sys, _cfg())
+        st = solve_stage(mu, 2.0, sys, _cfg())
         assert st.iters <= 50
+
+    def test_mixing_converges_where_picard_diverges(self):
+        # Plain Picard iteration overflows on this stage after 70 sweeps.
+        sys = RigidBody()
+        mu = sys.initial_state(42, scale=4.0)
+        st = solve_stage(mu, 2.0, sys, _cfg())
+        assert _PLAIN_SWEEPS < st.iters <= 50
+        assert st.residual <= 1e-13 * (1.0 + np.linalg.norm(mu))
+        with pytest.raises(NonConvergenceError):
+            _picard_stage(mu, 2.0, sys, 1e-13)
+        assert np.max(np.abs(spectrum(st.mu_half) - spectrum(mu))) < 1e-13
+
+    @pytest.mark.parametrize(
+        "sys, seed, h, mixes",
+        [
+            (RigidBody(), 42, 0.01, False),
+            (RigidBody(), 3, 0.1, False),
+            (ZeitlinSphere(N=9), 1, 0.005, False),
+            (ZeitlinSphere(N=9), 2, 0.02, False),
+            (ZeitlinSphere(N=9), 1, 0.02, True),
+            (TodaExtended(4), 0, 0.05, True),
+            (TodaExtended(4), 0, 0.1, True),
+        ],
+    )
+    def test_matches_plain_picard(self, sys, seed, h, mixes):
+        # Plain Picard iteration is the reference.  Up to the sweep that
+        # first feeds the mixer, the solver runs exactly its arithmetic,
+        # so a stage it settles by then is bit-identical; a slower stage
+        # converges to the same stage matrix within the solver
+        # tolerance, in no more sweeps.
+        mu = sys.initial_state(seed)
+        tol = 1e-13
+        ref, ref_iters = _picard_stage(mu, h, sys, tol)
+        st = solve_stage(mu, h, sys, _cfg(solver_tol=tol))
+        assert mixes == (ref_iters > _PLAIN_SWEEPS + 1)
+        if mixes:
+            assert st.iters <= ref_iters
+            assert np.linalg.norm(st.mu_stage - ref) <= tol * (1.0 + np.linalg.norm(mu))
+        else:
+            assert st.iters == ref_iters
+            assert np.array_equal(st.mu_stage, ref)
+
+    def test_failed_mixing_step_is_the_plain_update(self):
+        # A singular fit (a repeated pair) and an overflowing one (huge
+        # differences) both fall back to the map value G(x).
+        x = np.zeros((2, 2))
+        for first, second in ((np.ones((2, 2)), np.ones((2, 2))), (x, np.full((2, 2), 1e200))):
+            mix = _AndersonMixer()
+            assert mix(x, first) is first
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert mix(x, second) is second
 
     def test_equilibrium_is_fixed(self):
         w = np.zeros((3, 3))
@@ -199,7 +280,7 @@ class TestMacroStep:
 
     def test_stage_error_carries_index(self):
         sys = RigidBody()
-        mu = sys.initial_state(42, scale=4.0)
+        mu = sys.initial_state(42, scale=16.0)
         tab = builtin("sdirk2")
         with pytest.raises(NonConvergenceError) as info:
             isospectral_sdirk_step(mu, sys, _cfg(tableau=tab), 4.0)
@@ -237,7 +318,7 @@ class TestRunTrajectory:
         mu0 = sys.initial_state(42, scale=4.0)
         cfg = _cfg()
         with pytest.raises(NonConvergenceError) as info:
-            run_trajectory(mu0, sys, cfg, 2.0, 3)
+            run_trajectory(mu0, sys, cfg, 8.0, 3)
         assert info.value.step == 0
         assert info.value.stage == 0
         assert "step 0" in str(info.value)
@@ -267,16 +348,20 @@ class TestCotangentForm:
     @pytest.mark.parametrize("tableau", ["midpoint", "yoshida4"])
     def test_reduces_to_reduced_stepper(self, tableau):
         # Stepping on the bundle and reducing through g^dagger p tracks
-        # stepping the reduced variable directly.
+        # stepping the reduced variable directly, also where the
+        # increment iteration runs long enough to mix (Toda).
         tab = builtin(tableau)
         cfg = _cfg(tableau=tab, update_form="dcay")
-        for sys, seed in ((RigidBody(), 4), (ZeitlinSphere(N=5), 2)):
+        for sys, seed in ((RigidBody(), 4), (ZeitlinSphere(N=5), 2), (TodaExtended(4), 1)):
             mu = sys.initial_state(seed)
             state = cotangent_lift(mu)
+            sweeps = []
             for _ in range(20):
-                state, _ = cotangent_sdirk_step(state, sys, cfg, 0.02)
+                state, stages = cotangent_sdirk_step(state, sys, cfg, 0.02)
                 mu, _ = isospectral_sdirk_step(mu, sys, cfg, 0.02)
+                sweeps += [st.iters for st in stages]
             assert np.linalg.norm(momentum_map(state) - mu) < 1e-11
+        assert max(sweeps) > _PLAIN_SWEEPS + 1
 
     def test_stage_pair_is_half_point_mean(self):
         sys = RigidBody()
