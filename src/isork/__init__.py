@@ -22,6 +22,7 @@ from .integrator import (
     CotangentStage,
     CotangentState,
     NonConvergenceError,
+    StageLinAlgError,
     StageState,
     StepperConfig,
     classical_rk4_step,
@@ -83,6 +84,7 @@ __all__ = [
     "RigidBody",
     "SdirkTableau",
     "SplitMix64",
+    "StageLinAlgError",
     "StageState",
     "StepperConfig",
     "TodaExtended",

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .diagnostics import convergence_study, run_recorded, write_csv
-from .integrator import _UPDATE_FORMS, _VARIANT_SIGNS, NonConvergenceError, StepperConfig
+from .integrator import _UPDATE_FORMS, _VARIANT_SIGNS, NonConvergenceError, StageLinAlgError, StepperConfig
 from .systems import RigidBody, TodaExtended, ZeitlinSphere
 from .tableau import BUILTIN_TABLEAUS, builtin, parse_custom
 
@@ -405,6 +405,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except StageLinAlgError as exc:  # its message says where: "numerical error at step n stage i: ..."
+        print(exc, file=sys.stderr)
+        return 5
     except np.linalg.LinAlgError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 5

@@ -51,6 +51,7 @@ __all__ = [
     "CotangentState",
     "CotangentStage",
     "NonConvergenceError",
+    "StageLinAlgError",
     "solve_stage",
     "isospectral_sdirk_step",
     "run_trajectory",
@@ -63,6 +64,15 @@ __all__ = [
 
 _VARIANT_SIGNS = {"left": 1.0, "right": -1.0}
 _UPDATE_FORMS = ("conjugation", "dcay")
+
+
+def _where(step: int | None, stage: int | None) -> str:
+    where = ""
+    if step is not None:
+        where += f" at step {step}"
+    if stage is not None:
+        where += f" stage {stage}"
+    return where
 
 
 class NonConvergenceError(RuntimeError):
@@ -80,14 +90,24 @@ class NonConvergenceError(RuntimeError):
         self.residual = residual
         self.step = step
         self.stage = stage
-        where = ""
-        if step is not None:
-            where += f" at step {step}"
-        if stage is not None:
-            where += f" stage {stage}"
         super().__init__(
-            f"stage solve did not converge{where}: residual {residual:.3e} after {iters} iterations"
+            f"stage solve did not converge{_where(step, stage)}: residual {residual:.3e} after {iters} iterations"
         )
+
+
+class StageLinAlgError(np.linalg.LinAlgError):
+    """A LinAlgError raised while stepping, with where it happened.
+
+    Still a LinAlgError, so handlers of that keep catching it; step and
+    stage are attached as on NonConvergenceError, and the message reads
+    "numerical error at step n stage i: <reason>".
+    """
+
+    def __init__(self, reason: str, step: int | None = None, stage: int | None = None):
+        self.reason = reason
+        self.step = step
+        self.stage = stage
+        super().__init__(f"numerical error{_where(step, stage)}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -253,6 +273,8 @@ def isospectral_sdirk_step(mu_n, system, cfg: StepperConfig, h: float):
             st = solve_stage(mu, h_i, system, cfg)
         except NonConvergenceError as exc:
             raise NonConvergenceError(exc.iters, exc.residual, stage=i) from None
+        except np.linalg.LinAlgError as exc:
+            raise StageLinAlgError(str(exc), stage=i) from None
         mu = st.mu_half
         stages.append(st)
     return mu, stages
@@ -262,9 +284,9 @@ def _drive(step, mu0, n_steps: int):
     """The macro-step loop: yields (n, mu_n, stages_n) for n = 0..n_steps.
 
     step(mu) -> (mu_next, stages) advances one macro step; the initial
-    entry carries an empty stage list.  A non-convergent stage aborts
-    the run with the index of the failing step attached, here and
-    nowhere else.
+    entry carries an empty stage list.  A non-convergent stage or a
+    LinAlgError aborts the run with the index of the failing step
+    attached, here and nowhere else.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
@@ -275,6 +297,10 @@ def _drive(step, mu0, n_steps: int):
             mu, stages = step(mu)
         except NonConvergenceError as exc:
             raise NonConvergenceError(exc.iters, exc.residual, step=n, stage=exc.stage) from None
+        except StageLinAlgError as exc:
+            raise StageLinAlgError(exc.reason, step=n, stage=exc.stage) from None
+        except np.linalg.LinAlgError as exc:
+            raise StageLinAlgError(str(exc), step=n) from None
         yield n + 1, mu, stages
 
 

@@ -11,12 +11,14 @@ pairing <xi, alpha> = trace(xi^dagger alpha):
 * ZeitlinSphere: the spin-truncated vorticity equation on the sphere,
   skew-Hermitian traceless W with a stream matrix obtained by inverting
   the double-commutator Laplacian of irreducible spin generators, which
-  is tridiagonal on each diagonal W[i, i+k] and is inverted per diagonal.
+  is tridiagonal on each diagonal W[i, i+k]; its pseudoinverse is one
+  stack of blocks over the N wrapped diagonals W[i, (i+k) % N], applied
+  in one batched matmul.
 
 Every analytic gradient here is validated against central finite
 differences in the test suite; B maps are pure functions evaluated
 fresh at every solver iteration.  System objects are immutable after
-construction (the Laplacian's per-diagonal factors are precomputed),
+construction (the Laplacian's pseudoinverse blocks are precomputed),
 so one instance can serve any number of concurrent trajectories.
 """
 
@@ -174,6 +176,19 @@ def toda_lax_matrices(a, b) -> tuple[np.ndarray, np.ndarray]:
     return lax, toda_extended_B(lax)
 
 
+@functools.lru_cache(maxsize=None)
+def _toda_sign_mask(n: int, scale: float = 1.0) -> np.ndarray:
+    """scale times the +-1/0 pattern of toda_extended_B on n x n matrices."""
+    mask = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    mask[idx, idx + 1] = scale
+    mask[idx + 1, idx] = -scale
+    mask[0, n - 1] = -scale
+    mask[n - 1, 0] = scale
+    mask.setflags(write=False)
+    return mask
+
+
 def toda_extended_B(w: np.ndarray) -> np.ndarray:
     """Entry mask sending w to its cyclic off-diagonal signed part.
 
@@ -182,14 +197,7 @@ def toda_extended_B(w: np.ndarray) -> np.ndarray:
     B_{n,1} = +W_{n,1}.  On symmetric w the result is skew-symmetric
     and coincides with the classical Toda B(L).
     """
-    n = w.shape[0]
-    out = np.zeros_like(w, dtype=np.result_type(w.dtype, np.float64))
-    idx = np.arange(n - 1)
-    out[idx, idx + 1] = w[idx, idx + 1]
-    out[idx + 1, idx] = -w[idx + 1, idx]
-    out[0, n - 1] = -w[0, n - 1]
-    out[n - 1, 0] = w[n - 1, 0]
-    return out
+    return w * _toda_sign_mask(w.shape[0])
 
 
 def toda_extended_H(w: np.ndarray) -> float:
@@ -235,7 +243,7 @@ class TodaExtended(IsospectralSystem):
         return -2.0 * toda_extended_B(w) + 4.0 * w.T
 
     def B(self, w: np.ndarray) -> np.ndarray:
-        return 2.0 * toda_extended_B(w.T)
+        return w.T * _toda_sign_mask(w.shape[0], 2.0)
 
     def state_residual(self, w: np.ndarray) -> float:
         return float(np.linalg.norm(w - w.T))
@@ -304,38 +312,56 @@ def zeitlin_laplacian(w: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _laplacian_pinv(N: int) -> list[np.ndarray]:
-    """Pseudoinverse of the Laplacian: for k = 1-N..N-1, a real block for
-    the symmetric tridiagonal matrix it applies to the diagonal w[i, i+k].
+def _laplacian_pinv(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudoinverse of the Laplacian over the wrapped diagonals of w.
+
+    Returns (stack, idx).  Row k of w.ravel()[idx] is the wrapped
+    diagonal w[i, (i+k) % N], i = 0..N-1: the diagonal w[i, i+k] of
+    length N-k followed by the diagonal w[i, i+k-N] of length k.  The
+    Laplacian applies a symmetric tridiagonal matrix to each diagonal
+    and never couples the two parts (at the seam the coupling is
+    c[N-k-1, N-1] = 0), and d and c are symmetric, so diagonals j and
+    -j share one pseudoinverse P_j.  stack[k] is the real N x N block
+    blockdiag(P_k, P_{N-k}); N eigendecompositions build all of it.
 
     Eigenvalues at or below 1 are the kernel (the identity, on k = 0),
     safe because the smallest nonzero eigenvalue is l(l+1) = 2.
     """
     d, c = _laplacian_coefficients(N)
-    blocks = []
-    for k in range(1 - N, N):
-        off = -np.diagonal(c, k)[:-1]
-        evals, vecs = np.linalg.eigh(np.diag(np.diagonal(d, k)) + np.diag(off, 1) + np.diag(off, -1))
+    stack = np.zeros((N, N, N))
+    for j in range(N):
+        off = -np.diagonal(c, j)[:-1]
+        evals, vecs = np.linalg.eigh(np.diag(np.diagonal(d, j)) + np.diag(off, 1) + np.diag(off, -1))
         inv = np.where(evals > 1.0, 1.0 / np.where(evals > 1.0, evals, 1.0), 0.0)
-        blocks.append((vecs * inv) @ vecs.T)
-    return blocks
+        stack[j, : N - j, : N - j] = (vecs * inv) @ vecs.T
+        if j:
+            stack[N - j, j:, j:] = stack[j, : N - j, : N - j]
+    rows = np.arange(N)
+    idx = rows * N + (rows + rows[:, None]) % N
+    for arr in (stack, idx):
+        arr.setflags(write=False)
+    return stack, idx
 
 
 def zeitlin_laplacian_inv(w: np.ndarray) -> np.ndarray:
-    """Solve laplacian(p) = w for traceless w, diagonal by diagonal.
+    """Solve laplacian(p) = w for traceless w, all diagonals in one matmul.
 
     Raises ValueError when the input has a trace beyond roundoff scale,
     since the identity component is not in the operator's range.
     """
     N = w.shape[0]
     trace_residual = abs(complex(np.trace(w)))
-    if trace_residual > 1e-10 * (1.0 + float(np.linalg.norm(w))):
+    # The bound is at least 1e-10, so the norm is needed only above that.
+    if trace_residual > 1e-10 and trace_residual > 1e-10 * (1.0 + float(np.linalg.norm(w))):
         raise ValueError(f"inverse Laplacian needs traceless input (|tr| = {trace_residual:.3e})")
-    flat = np.empty(N * N, dtype=complex)
-    for k, block in enumerate(_laplacian_pinv(N), start=1 - N):
-        start = max(k, -k * N)  # flat index of w[0, k] or w[-k, 0]; the diagonal has stride N + 1
-        flat[start : start + (N - abs(k)) * (N + 1) : N + 1] = block @ np.diagonal(w, k)
-    return flat.reshape(N, N)
+    stack, idx = _laplacian_pinv(N)
+    diagonals = w.ravel()[idx].astype(complex, copy=False)
+    # Real blocks act on real and imaginary parts alike: view the
+    # complex entries as (re, im) column pairs.
+    solved = stack @ diagonals.view(np.float64).reshape(N, N, 2)
+    out = np.empty(N * N, dtype=complex)
+    out[idx] = solved.view(complex)[..., 0]
+    return out.reshape(N, N)
 
 
 class ZeitlinSphere(IsospectralSystem):

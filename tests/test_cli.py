@@ -274,7 +274,7 @@ class TestExitCodes:
         monkeypatch.setattr("isork.diagnostics.isospectral_sdirk_step", singular)
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 5
-        assert "numerical error: Singular matrix" in capsys.readouterr().err
+        assert "numerical error at step 0: Singular matrix" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

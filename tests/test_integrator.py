@@ -10,6 +10,7 @@ from isork.integrator import (
     _AndersonMixer,
     CotangentState,
     NonConvergenceError,
+    StageLinAlgError,
     StepperConfig,
     classical_rk4_step,
     cotangent_lift,
@@ -322,6 +323,26 @@ class TestRunTrajectory:
         assert info.value.step == 0
         assert info.value.stage == 0
         assert "step 0" in str(info.value)
+
+    def test_linalg_failure_carries_step_and_stage(self, monkeypatch):
+        # A singular solve in the second stage of the third step.
+        calls = []
+
+        def failing_solve_stage(mu_prev, h_i, system, cfg):
+            calls.append(h_i)
+            if len(calls) == 3 * 3 + 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve_stage(mu_prev, h_i, system, cfg)
+
+        monkeypatch.setattr("isork.integrator.solve_stage", failing_solve_stage)
+        sys = RigidBody()
+        cfg = _cfg(tableau=builtin("yoshida4"))
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            run_trajectory(sys.initial_state(0), sys, cfg, 0.05, 5)
+        assert isinstance(info.value, StageLinAlgError)
+        assert (info.value.step, info.value.stage) == (3, 1)
+        assert info.value.reason == "Singular matrix"
+        assert str(info.value) == "numerical error at step 3 stage 1: Singular matrix"
 
 
 class TestCotangentForm:

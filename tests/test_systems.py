@@ -13,6 +13,7 @@ from isork.systems import (
     RigidBody,
     TodaExtended,
     ZeitlinSphere,
+    _laplacian_coefficients,
     casimirs,
     toda_extended_B,
     toda_extended_H,
@@ -23,6 +24,34 @@ from isork.systems import (
 )
 
 W_E12 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def _scatter_toda_B(w):
+    """Reference for toda_extended_B: the sign pattern written entry by entry."""
+    n = w.shape[0]
+    out = np.zeros_like(w, dtype=np.result_type(w.dtype, np.float64))
+    idx = np.arange(n - 1)
+    out[idx, idx + 1] = w[idx, idx + 1]
+    out[idx + 1, idx] = -w[idx + 1, idx]
+    out[0, n - 1] = -w[0, n - 1]
+    out[n - 1, 0] = w[n - 1, 0]
+    return out
+
+
+def _per_diagonal_laplacian_inv(w):
+    """Reference for zeitlin_laplacian_inv: one pseudoinverse block per
+    diagonal w[i, i+k], k = 1-N..N-1, each applied and written back with
+    a strided store."""
+    N = w.shape[0]
+    d, c = _laplacian_coefficients(N)
+    flat = np.empty(N * N, dtype=complex)
+    for k in range(1 - N, N):
+        off = -np.diagonal(c, k)[:-1]
+        evals, vecs = np.linalg.eigh(np.diag(np.diagonal(d, k)) + np.diag(off, 1) + np.diag(off, -1))
+        inv = np.where(evals > 1.0, 1.0 / np.where(evals > 1.0, evals, 1.0), 0.0)
+        start = max(k, -k * N)  # flat index of w[0, k] or w[-k, 0]; the diagonal has stride N + 1
+        flat[start : start + (N - abs(k)) * (N + 1) : N + 1] = ((vecs * inv) @ vecs.T) @ np.diagonal(w, k)
+    return flat.reshape(N, N)
 
 
 def test_casimir_traces():
@@ -115,6 +144,16 @@ class TestToda:
         with pytest.raises(ValueError):
             TodaExtended(n=2)
 
+    def test_mask_product_matches_scatter(self):
+        rng = np.random.default_rng(3)
+        for n in range(3, 7):
+            sys = TodaExtended(n=n)
+            for _ in range(20):
+                w = rng.standard_normal((n, n))
+                assert np.array_equal(toda_extended_B(w), _scatter_toda_B(w))
+                assert np.array_equal(sys.B(w), 2.0 * _scatter_toda_B(w.T))
+                assert toda_extended_B(w).dtype == _scatter_toda_B(w).dtype
+
     def test_initial_state_alternates(self):
         w0 = TodaExtended(n=4).initial_state(12345)  # seed is irrelevant here
         assert np.array_equal(np.diag(w0), [-1.0, 1.0, -1.0, 1.0])
@@ -165,7 +204,8 @@ class TestZeitlinOperators:
     def test_inverse_matches_dense_pseudoinverse(self):
         # The reference: the operator as a dense N^2 x N^2 matrix on
         # vec(w), inverted through its eigendecomposition.
-        for N in (5, 9, 17, 33):
+        # N = 2 has a single wrapped off-diagonal, which crosses the seam.
+        for N in (2, 3, 5, 9, 17, 33):
             eye = np.eye(N)
             op = np.zeros((N * N, N * N), dtype=complex)
             for s_k in zeitlin_spin_generators(N):
@@ -178,6 +218,12 @@ class TestZeitlinOperators:
                 w = random_algebra_element(ZeitlinSphere(N=N).context, seed)
                 ref = (pinv @ w.reshape(-1)).reshape(N, N)
                 assert np.linalg.norm(zeitlin_laplacian_inv(w) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_inverse_matches_per_diagonal_reference(self):
+        for N in range(2, 66):
+            w = random_algebra_element(ZeitlinSphere(N=N).context, N)
+            ref = _per_diagonal_laplacian_inv(w)
+            assert np.linalg.norm(zeitlin_laplacian_inv(w) - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_large_round_trip(self):
         w = random_algebra_element(ZeitlinSphere(N=65).context, 0)
