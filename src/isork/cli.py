@@ -183,16 +183,15 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"h must be positive and finite, got {config.h}")
     if config.steps < 1:
         raise ConfigError(f"steps must be at least 1, got {config.steps}")
-    if config.n < 3:
-        raise ConfigError(f"n must be at least 3, got {config.n}")
-    if config.N < 2:
-        raise ConfigError(f"N must be at least 2, got {config.N}")
-    if len(config.inertia) != 3 or not all(x > 0 for x in config.inertia):
-        raise ConfigError(f"inertia needs three positive moments, got {config.inertia}")
     if not 0 < config.scale < math.inf:
         raise ConfigError(f"scale must be positive and finite, got {config.scale}")
+    # The size rules of the selected system live in its constructor;
+    # the size fields of the other systems are unused and not checked.
     try:
-        _stepper_config(config)
+        _system_for(config)
+        _stepper_config(config, _tableau_for(config))
+    except MemoryError:
+        raise ConfigError(f"{config.system} system of this size does not fit in memory") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -8,9 +8,7 @@ substep size h_i the stage matrix mu_c solves
 
     (I - (h_i/2) B(mu_c)) mu_c (I + (h_i/2) B(mu_c)) = mu_prev
 
-by fixed-point iteration (plain Picard sweeps, then Anderson mixing
-for stages that contract slowly; see _fixed_point), and the next half
-point is either
+by fixed-point iteration, and the next half point is either
 
     dcay form:     (I + (h_i/2) B(mu_c)) mu_c (I - (h_i/2) B(mu_c))
     conjugation:   cay(h_i B(mu_c)) mu_prev cay(h_i B(mu_c))^{-1}
@@ -22,9 +20,14 @@ solver residual, while the dcay form leaks at the residual level.  The
 right-invariant variant swaps the signs of both halves, which is the
 same arithmetic as stepping with -h_i.
 
-Every multi-step run, here and in the diagnostics module, goes through
-one loop, `_drive`, over a step(mu) -> (mu_next, stages) callable such
-as the Cayley half-step baseline; only it attaches step indices.
+Three loops serve every stepper.  `_fixed_point` is the sweep loop of
+every implicit solve (the reduced stage, the Cayley half-step stage
+and the cotangent increments): plain sweeps, then Anderson mixing.
+`_chain` runs a substage callable over the tableau's h_i, for the
+reduced and the cotangent stepper alike, and attaches stage indices
+to failures.  `_drive` is the macro-step loop, here and in the
+diagnostics module, over a step(mu) -> (mu_next, stages) callable;
+only it attaches step indices.
 
 Also here: the cotangent-bundle formulation of the same scheme (stage
 increments on group and momentum factors, reduced back through
@@ -199,44 +202,58 @@ class _AndersonMixer:
         return (g - gamma @ self._dg[:m]).reshape(gx.shape)
 
 
-def _fixed_point(mu_prev, a, b_map, tol, max_iters):
-    """Solve mu = mu_prev + a [B(mu), mu] + a^2 B(mu) mu B(mu).
+def _fixed_point(sweep, x0, scale, max_iters):
+    """The one sweep loop of every implicit solve, seeded at x0.
 
-    Seeded at mu_prev; returns (mu, B(mu), iters, residual), the
-    residual being the stage equation defect of mu, so mu satisfies
-    ||(I - a B) mu (I + a B) - mu_prev||_F within
-    tol * (1 + ||mu_prev||_F).  Each sweep evaluates B once (it may be
-    nonlinear) and the defect at the current iterate.  The first
-    _PLAIN_SWEEPS sweeps take the plain Picard update mu - defect; a
-    stage still unconverged after them continues with Anderson mixing
-    of the Picard updates (_AndersonMixer).  iters counts sweeps, so an
-    already converged seed (B = 0 or a = 0) reports 1.  Raises
-    NonConvergenceError on a non-finite defect or after max_iters
-    sweeps.
+    sweep(x) -> (result, G(x), residual) evaluates B once at the
+    iterate x and returns what the caller keeps on convergence, the
+    fixed-point map's value G(x) and the residual of x.  The loop stops
+    at the first sweep whose residual is within scale and returns
+    (result, iters, residual).  The first _PLAIN_SWEEPS sweeps take the
+    plain update x <- G(x); an iteration still unconverged after them
+    continues with Anderson mixing of those updates (_AndersonMixer).
+    iters counts sweeps, so an already converged seed reports 1.
+    Raises NonConvergenceError on a non-finite residual or after
+    max_iters sweeps.
     """
-    mu = mu_prev
-    scale = tol * (1.0 + float(np.linalg.norm(mu_prev)))
+    x = x0
     residual = np.inf
     mix = None
     # Divergence is detected and raised below; silence the transient
     # overflow warnings it produces on the way.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_iters):
-            b = b_map(mu)
-            bmu = b @ mu
-            defect = mu - a * (bmu - mu @ b) - (a * a) * (bmu @ b) - mu_prev
-            residual = float(np.linalg.norm(defect))
+            result, gx, residual = sweep(x)
             if residual <= scale:
-                return mu, b, k + 1, residual
+                return result, k + 1, residual
             if not np.isfinite(residual):
                 raise NonConvergenceError(k + 1, residual)
             if k + 1 < _PLAIN_SWEEPS:
-                mu = mu - defect
+                x = gx
             else:
                 if mix is None:
                     mix = _AndersonMixer()
-                mu = mix(mu, mu - defect)
+                x = mix(x, gx)
     raise NonConvergenceError(max_iters, residual)
+
+
+def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
+    """Solve mu = mu_prev + a [B(mu), mu] + a^2 B(mu) mu B(mu) from mu_prev.
+
+    Returns ((mu, B(mu)), iters, residual), the residual being the
+    stage-equation defect ||(I - a B) mu (I + a B) - mu_prev||_F of mu,
+    within cfg.solver_tol * (1 + ||mu_prev||_F).  Each sweep's update
+    is the Picard step mu - defect.
+    """
+
+    def sweep(mu):
+        b = b_map(mu)
+        bmu = b @ mu
+        defect = mu - a * (bmu - mu @ b) - (a * a) * (bmu @ b) - mu_prev
+        return (mu, b), mu - defect, float(np.linalg.norm(defect))
+
+    scale = cfg.solver_tol * (1.0 + float(np.linalg.norm(mu_prev)))
+    return _fixed_point(sweep, mu_prev, scale, cfg.solver_max_iters)
 
 
 def solve_stage(mu_prev, h_i: float, system, cfg: StepperConfig) -> StageState:
@@ -247,8 +264,7 @@ def solve_stage(mu_prev, h_i: float, system, cfg: StepperConfig) -> StageState:
     cfg.solver_max_iters sweeps do not reach tolerance.
     """
     sign = _VARIANT_SIGNS[cfg.variant]
-    a = sign * h_i / 2.0
-    mu_c, b, iters, residual = _fixed_point(mu_prev, a, system.B, cfg.solver_tol, cfg.solver_max_iters)
+    (mu_c, b), iters, residual = _reduced_stage(mu_prev, sign * h_i / 2.0, system.B, cfg)
     xi = (sign * h_i) * b
     if cfg.update_form == "conjugation":
         mu_half = cayley_conjugate(xi, mu_prev)
@@ -257,27 +273,38 @@ def solve_stage(mu_prev, h_i: float, system, cfg: StepperConfig) -> StageState:
     return StageState(mu_half=mu_half, mu_stage=mu_c, iters=iters, residual=residual)
 
 
-def _substeps(cfg: StepperConfig, h: float) -> list[float]:
-    """Substep sizes h * b_i of one macro step under cfg.tableau."""
+def _chain(substage, x, cfg: StepperConfig, h: float):
+    """The substage chain of one macro step of size h.
+
+    Runs x, stage = substage(x, h * b_i) over cfg.tableau.b and returns
+    (x, [stage, ...]).  A failing substage is reported with its index:
+    NonConvergenceError gets stage=i and a LinAlgError becomes a
+    StageLinAlgError.
+    """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
-    return [h * w for w in cfg.tableau.b]
-
-
-def isospectral_sdirk_step(mu_n, system, cfg: StepperConfig, h: float):
-    """One macro step of size h; returns (mu_next, stage states in order)."""
-    mu = mu_n
     stages = []
-    for i, h_i in enumerate(_substeps(cfg, h)):
+    for i, w in enumerate(cfg.tableau.b):
         try:
-            st = solve_stage(mu, h_i, system, cfg)
+            x, st = substage(x, h * w)
         except NonConvergenceError as exc:
             raise NonConvergenceError(exc.iters, exc.residual, stage=i) from None
         except np.linalg.LinAlgError as exc:
             raise StageLinAlgError(str(exc), stage=i) from None
-        mu = st.mu_half
         stages.append(st)
-    return mu, stages
+    return x, stages
+
+
+def isospectral_sdirk_step(mu_n, system, cfg: StepperConfig, h: float):
+    """One macro step of size h; returns (mu_next, stage states in order)."""
+
+    def substage(mu, h_i):
+        # solve_stage is looked up at call time, so a name swapped on
+        # this module (as the benchmark's tracer does) takes effect.
+        st = solve_stage(mu, h_i, system, cfg)
+        return st.mu_half, st
+
+    return _chain(substage, mu_n, cfg, h)
 
 
 def _drive(step, mu0, n_steps: int):
@@ -357,65 +384,50 @@ def cotangent_sdirk_step(state: CotangentState, system, cfg: StepperConfig, h: f
         k_p = -(p + (h_i/2) k_p) B(mu_c)
         mu_c = (g + (h_i/2) k_g)^dagger (p + (h_i/2) k_p)
 
-    by fixed-point iteration seeded at zero increments, mixed after
-    _PLAIN_SWEEPS sweeps as in the reduced stage solve, then advances
-    the half points by h_i k.  The converged stage pair is exactly the
-    mean of the adjacent half points, and reducing the result through
-    the momentum map reproduces the reduced stepper.  Only the left
+    in the same sweep loop and substage chain as the reduced stepper:
+    the iterate is the stacked pair (k_g, k_p), seeded at zero, its
+    update is the right-hand side, and the residual is the larger of
+    the two blocks' change, within
+    cfg.solver_tol * (1 + ||g||_F + ||p||_F).  The half points then
+    advance by h_i k.  The converged stage pair is exactly the mean of
+    the adjacent half points, and reducing the result through the
+    momentum map reproduces the reduced stepper.  Only the left
     variant has this trivialization; cfg.variant must be "left".
     """
     if cfg.variant != "left":
         raise ValueError("cotangent stepping is implemented for the left variant only")
-    g, p = state.g, state.p
-    stages = []
-    for i, h_i in enumerate(_substeps(cfg, h)):
-        k_g = np.zeros_like(g)
-        k_p = np.zeros_like(p)
-        scale = cfg.solver_tol * (1.0 + float(np.linalg.norm(g)) + float(np.linalg.norm(p)))
+
+    def substage(st, h_i):
+        g, p = st.g, st.p
         half = h_i / 2.0
-        residual = np.inf
-        mix = None
-        with np.errstate(over="ignore", invalid="ignore"):
-            for sweep in range(cfg.solver_max_iters):
-                g_mid = g + half * k_g
-                p_mid = p + half * k_p
-                mu_c = g_mid.conj().T @ p_mid
-                b = system.B(mu_c)
-                k_g_new = g_mid @ b.conj().T
-                k_p_new = -(p_mid @ b)
-                residual = max(
-                    float(np.linalg.norm(k_g_new - k_g)),
-                    float(np.linalg.norm(k_p_new - k_p)),
-                )
-                if residual <= scale:
-                    k_g, k_p = k_g_new, k_p_new
-                    break
-                if not np.isfinite(residual):
-                    raise NonConvergenceError(sweep + 1, residual, stage=i)
-                if sweep + 1 < _PLAIN_SWEEPS:
-                    k_g, k_p = k_g_new, k_p_new
-                else:
-                    if mix is None:
-                        mix = _AndersonMixer()
-                    k_g, k_p = mix(np.stack((k_g, k_p)), np.stack((k_g_new, k_p_new)))
-            else:
-                raise NonConvergenceError(cfg.solver_max_iters, residual, stage=i)
+
+        def sweep(k):
+            g_mid = g + half * k[0]
+            p_mid = p + half * k[1]
+            b = system.B(g_mid.conj().T @ p_mid)
+            k_new = np.stack((g_mid @ b.conj().T, -(p_mid @ b)))
+            residual = max(float(np.linalg.norm(k_new[0] - k[0])), float(np.linalg.norm(k_new[1] - k[1])))
+            return k_new, k_new, residual
+
+        k0 = np.zeros((2,) + g.shape, dtype=np.result_type(g, p))
+        scale = cfg.solver_tol * (1.0 + float(np.linalg.norm(g)) + float(np.linalg.norm(p)))
+        (k_g, k_p), iters, residual = _fixed_point(sweep, k0, scale, cfg.solver_max_iters)
         g_mid = g + half * k_g
         p_mid = p + half * k_p
         g = g + h_i * k_g
         p = p + h_i * k_p
-        stages.append(
-            CotangentStage(
-                g_stage=g_mid,
-                p_stage=p_mid,
-                mu_stage=g_mid.conj().T @ p_mid,
-                g_half=g,
-                p_half=p,
-                iters=sweep + 1,
-                residual=residual,
-            )
+        stage = CotangentStage(
+            g_stage=g_mid,
+            p_stage=p_mid,
+            mu_stage=g_mid.conj().T @ p_mid,
+            g_half=g,
+            p_half=p,
+            iters=iters,
+            residual=residual,
         )
-    return CotangentState(g, p), stages
+        return CotangentState(g, p), stage
+
+    return _chain(substage, state, cfg, h)
 
 
 # --- baselines ------------------------------------------------------------
@@ -433,7 +445,7 @@ def gawlik_step(mu_tilde, h: float, system, cfg: StepperConfig | None = None):
     if cfg is None:
         cfg = StepperConfig()
     rhs = dcay_inv(-h * system.B(mu_tilde), mu_tilde)
-    mu, _, iters, residual = _fixed_point(rhs, h / 2.0, system.B, cfg.solver_tol, cfg.solver_max_iters)
+    (mu, _), iters, residual = _reduced_stage(rhs, h / 2.0, system.B, cfg)
     return mu, [StageState(mu_half=mu, mu_stage=mu, iters=iters, residual=residual)]
 
 

@@ -131,7 +131,7 @@ class RigidBody(IsospectralSystem):
     def __init__(self, inertia=(1.0, 2.0, 3.0)):
         self.inertia = tuple(float(x) for x in inertia)
         if len(self.inertia) != 3 or not all(x > 0 for x in self.inertia):
-            raise ValueError("inertia must be three positive moments")
+            raise ValueError(f"inertia needs three positive moments, got {self.inertia}")
         self._iinv = np.diag([1.0 / x for x in self.inertia])
         self.context = orthogonal_structure(3)
 
@@ -154,6 +154,13 @@ class RigidBody(IsospectralSystem):
 # --- periodic Toda, extended to gl(n) -----------------------------------
 
 
+def _lattice_size(n: int) -> int:
+    """The Toda size rule, shared by the Lax data and the system."""
+    if n < 3:
+        raise ValueError(f"n must be at least 3, got {n}")
+    return n
+
+
 def toda_lax_matrices(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Periodic Lax pair (L, B(L)) from diagonal and off-diagonal lists.
 
@@ -166,9 +173,7 @@ def toda_lax_matrices(a, b) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("a and b must be equal-length 1-d lists")
-    n = a.size
-    if n < 3:
-        raise ValueError("lattice size must be at least 3")
+    n = _lattice_size(a.size)
     lax = np.diag(a)
     for i in range(n - 1):
         lax[i, i + 1] = lax[i + 1, i] = b[i]
@@ -229,10 +234,7 @@ class TodaExtended(IsospectralSystem):
     name = "toda"
 
     def __init__(self, n: int = 4):
-        n = int(n)
-        if n < 3:
-            raise ValueError("lattice size must be at least 3")
-        self.n = n
+        self.n = n = _lattice_size(int(n))
         self.context = orthogonal_structure(n)
         self.casimir_orders = tuple(range(2, n + 1))
 
@@ -269,7 +271,7 @@ def zeitlin_spin_generators(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     and skew-Hermitian, and sum_k S_k^2 = -s(s+1) I.
     """
     if N < 2:
-        raise ValueError("truncation size must be at least 2")
+        raise ValueError(f"N must be at least 2, got {N}")
     s = (N - 1) / 2.0
     m = -s + np.arange(N)
     j3 = np.diag(m).astype(complex)
@@ -349,11 +351,16 @@ def zeitlin_laplacian_inv(w: np.ndarray) -> np.ndarray:
     Raises ValueError when the input has a trace beyond roundoff scale,
     since the identity component is not in the operator's range.
     """
-    N = w.shape[0]
     trace_residual = abs(complex(np.trace(w)))
     # The bound is at least 1e-10, so the norm is needed only above that.
     if trace_residual > 1e-10 and trace_residual > 1e-10 * (1.0 + float(np.linalg.norm(w))):
         raise ValueError(f"inverse Laplacian needs traceless input (|tr| = {trace_residual:.3e})")
+    return _apply_laplacian_pinv(w)
+
+
+def _apply_laplacian_pinv(w: np.ndarray) -> np.ndarray:
+    """The pseudoinverse applied to w as it is, without the trace check."""
+    N = w.shape[0]
     stack, idx = _laplacian_pinv(N)
     diagonals = w.ravel()[idx].astype(complex, copy=False)
     # Real blocks act on real and imaginary parts alike: view the
@@ -390,12 +397,10 @@ class ZeitlinSphere(IsospectralSystem):
 
     def __init__(self, N: int = 17, forward_laplacian: bool = False):
         N = int(N)
-        if N < 2:
-            raise ValueError("truncation size must be at least 2")
+        self.spin_generators = zeitlin_spin_generators(N)  # checks the size
         self.n = self.N = N
         self.context = special_unitary_structure(N)
         self.forward_laplacian = bool(forward_laplacian)
-        self.spin_generators = zeitlin_spin_generators(N)
         if not forward_laplacian:
             _laplacian_pinv(N)  # precompute; instances stay immutable after this
         self._scale = N ** 1.5
@@ -409,14 +414,20 @@ class ZeitlinSphere(IsospectralSystem):
         # stream is computed from the traceless component.
         trace = np.trace(w) / self.N
         if trace != 0.0:
-            w = w - trace * np.eye(self.N)
-        return self._scale * zeitlin_laplacian_inv(w)
+            w = w.copy()
+            w.flat[:: self.N + 1] -= trace
+        return self._scale * _apply_laplacian_pinv(w)
 
     def hamiltonian(self, w: np.ndarray) -> float:
         return 0.5 * float(np.real(np.trace(self._stream(w).conj().T @ w)))
 
     def grad_hamiltonian(self, w: np.ndarray) -> np.ndarray:
         return self._stream(w)
+
+    def B(self, w: np.ndarray) -> np.ndarray:
+        # (grad H)^dagger; the stream matrix is fresh, so conjugate in place.
+        stream = self._stream(w)
+        return np.conjugate(stream, out=stream).T
 
     def state_residual(self, w: np.ndarray) -> float:
         return float(np.linalg.norm(w + w.conj().T)) + abs(complex(np.trace(w)))

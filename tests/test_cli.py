@@ -105,8 +105,8 @@ class TestPrecedence:
             ({"steps": 0}, "steps"),
             ({"solver_tol": 0.0}, "solver_tol"),
             ({"solver_max_iters": 0}, "solver_max_iters"),
-            ({"n": 2}, "n must be"),
-            ({"N": 1}, "N must be"),
+            ({"system": "toda", "n": 2}, "n must be"),
+            ({"system": "zeitlin", "N": 1}, "N must be"),
             ({"inertia": (1.0, 2.0)}, "inertia"),
             ({"inertia": (1.0, -2.0, 3.0)}, "inertia"),
             ({"scale": 0.0}, "scale"),
@@ -231,6 +231,16 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--steps", "2", flag, "nan"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_size_of_unselected_system_is_unused(self, capsys):
+        assert main(["dump-config", "--n", "2", "--N", "1"]) == 0
+        assert main(["dump-config", "--system", "toda", "--n", "2"]) == 2
+        assert "n must be at least 3, got 2" in capsys.readouterr().err
+
+    def test_system_too_large_for_memory_is_config_error(self, capsys):
+        # The first N x N complex allocation exceeds any address space.
+        assert main(["run", "--system", "zeitlin", "--N", "10000000", "--steps", "1"]) == 2
+        assert "config error: zeitlin system of this size does not fit in memory" in capsys.readouterr().err
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2

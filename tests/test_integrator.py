@@ -54,6 +54,25 @@ class _CountingB:
         return self.system.B(w)
 
 
+class _FaultAtCall:
+    """Delegates B to a system until call number `at`, which either
+    raises a singular-matrix LinAlgError or returns NaN entries."""
+
+    def __init__(self, system, at, fault):
+        self.system = system
+        self.at = at
+        self.fault = fault
+        self.calls = 0
+
+    def B(self, w):
+        self.calls += 1
+        if self.calls == self.at:
+            if self.fault == "linalg":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full_like(w, np.nan)
+        return self.system.B(w)
+
+
 class _ConstantFlow:
     """B fixed, so mu_dot = [B0, mu] is linear with exact solution Ad_exp."""
 
@@ -384,6 +403,39 @@ class TestCotangentForm:
             assert np.linalg.norm(momentum_map(state) - mu) < 1e-11
         assert max(sweeps) > _PLAIN_SWEEPS + 1
 
+    def test_one_B_evaluation_per_sweep(self):
+        # Toda's increment iterations run long enough to mix.
+        cfg = _cfg()
+        sweeps = []
+        for sys in (RigidBody(), TodaExtended(4)):
+            spy = _CountingB(sys)
+            state = cotangent_lift(sys.initial_state(1))
+            for _ in range(5):
+                before = spy.calls
+                state, stages = cotangent_sdirk_step(state, spy, cfg, 0.1)
+                assert spy.calls - before == stages[0].iters
+                sweeps.append(stages[0].iters)
+        assert max(sweeps) > _PLAIN_SWEEPS + 1
+
+    @pytest.mark.parametrize("fault", ["linalg", "nan"])
+    def test_stage_failure_carries_index(self, fault):
+        # The first B call of the third yoshida4 substage fails.
+        sys = RigidBody()
+        cfg = _cfg(tableau=builtin("yoshida4"))
+        state = cotangent_lift(sys.initial_state(3))
+        _, stages = cotangent_sdirk_step(state, sys, cfg, 0.05)
+        spy = _FaultAtCall(sys, stages[0].iters + stages[1].iters + 1, fault)
+        if fault == "linalg":
+            with pytest.raises(StageLinAlgError) as info:
+                cotangent_sdirk_step(state, spy, cfg, 0.05)
+            assert str(info.value) == "numerical error stage 2: Singular matrix"
+        else:
+            with pytest.raises(NonConvergenceError) as info:
+                cotangent_sdirk_step(state, spy, cfg, 0.05)
+            assert info.value.iters == 1
+            assert "stage 2" in str(info.value)
+        assert info.value.stage == 2
+
     def test_stage_pair_is_half_point_mean(self):
         sys = RigidBody()
         cfg = _cfg()
@@ -499,3 +551,29 @@ def test_toda_lax_form_held_by_stepper():
     for _ in range(50):
         mu, _ = isospectral_sdirk_step(mu, sys, cfg, 0.05)
         assert sys.state_residual(mu) < 1e-11
+
+
+def test_one_sweep_loop_call_per_stage(monkeypatch):
+    # Every implicit stage, reduced, baseline or cotangent, is one run
+    # of the shared sweep loop.
+    import isork.integrator as integrator
+
+    calls = []
+    fixed_point = integrator._fixed_point
+
+    def spy(*args):
+        calls.append(args)
+        return fixed_point(*args)
+
+    monkeypatch.setattr(integrator, "_fixed_point", spy)
+    sys = RigidBody()
+    mu = sys.initial_state(2)
+    cfg = _cfg(tableau=builtin("yoshida4"))
+    _, stages = isospectral_sdirk_step(mu, sys, cfg, 0.05)
+    assert len(calls) == len(stages) == 3
+    calls.clear()
+    _, stages = gawlik_step(mu, 0.05, sys, cfg)
+    assert len(calls) == len(stages) == 1
+    calls.clear()
+    _, stages = cotangent_sdirk_step(cotangent_lift(mu), sys, cfg, 0.05)
+    assert len(calls) == len(stages) == 3
