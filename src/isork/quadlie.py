@@ -175,7 +175,7 @@ def cayley_conjugate(xi: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def spectrum(a: np.ndarray, real_tol: float = 1e-9) -> np.ndarray:
-    """Eigenvalues of a in canonical order.
+    """Eigenvalues of a, or of each matrix in a stack (..., n, n), in canonical order.
 
     Sorted by real part ascending with ties broken by imaginary part
     ascending.  Ties are detected with the relative tolerance
@@ -185,24 +185,21 @@ def spectrum(a: np.ndarray, real_tol: float = 1e-9) -> np.ndarray:
     conjugate pairs between successive evaluations.  Clustering the
     real parts first makes the order reproducible along a trajectory.
 
+    A stack takes one `eigvals` call and is sorted along its last axis,
+    so each slice of the (..., n) result equals that matrix's spectrum
+    alone (by value: one complex spectrum makes a real stack's complex).
+
     Eigensolver failures propagate as numpy.linalg.LinAlgError; they
     are never swallowed.
     """
     ev = np.linalg.eigvals(np.asarray(a, dtype=np.result_type(a.dtype, np.float64)))
-    ev = ev[np.lexsort((ev.imag, ev.real))]
-    if ev.size == 0:
-        return ev
-    tol = real_tol * (1.0 + float(np.max(np.abs(ev))))
-    out = np.empty_like(ev)
-    i, n = 0, ev.size
-    while i < n:
-        j = i + 1
-        while j < n and ev[j].real - ev[j - 1].real <= tol:
-            j += 1
-        cluster = ev[i:j]
-        out[i:j] = cluster[np.argsort(cluster.imag, kind="stable")]
-        i = j
-    return out
+    ev = np.take_along_axis(ev, np.lexsort((ev.imag, ev.real), axis=-1), axis=-1)
+    tol = real_tol * (1.0 + np.abs(ev).max(axis=-1, keepdims=True, initial=0.0))
+    # A cluster starts at each real-part gap not within tol (NaN too); both
+    # sorts are stable, so clusters keep their order and sort by imag inside.
+    gaps = np.diff(ev.real, axis=-1, prepend=ev.real[..., :1])
+    cluster = np.cumsum(~(gaps <= tol), axis=-1)
+    return np.take_along_axis(ev, np.lexsort((ev.imag, cluster), axis=-1), axis=-1)
 
 
 def membership_residuals(x: np.ndarray, context: QuadraticStructure) -> tuple[float, float]:

@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,17 +17,62 @@ from isork.diagnostics import (
     run_recorded,
     write_csv,
 )
-from isork.integrator import NonConvergenceError, StepperConfig, solve_stage
+from isork.integrator import (
+    NonConvergenceError,
+    StepperConfig,
+    _drive,
+    classical_rk4_step,
+    gawlik_step,
+    isospectral_sdirk_step,
+    solve_stage,
+)
 from isork.quadlie import cayley, random_algebra_element
-from isork.systems import RigidBody, ZeitlinSphere
+from isork.systems import RigidBody, TodaExtended, ZeitlinSphere
 from isork.tableau import builtin
+from test_quadlie import _loop_spectrum
+
+
+def _per_state_record(rec, mu_n, solver_iters, step, h):
+    """The record body before blocks: one loop-clustered spectrum per state."""
+    system = rec.system
+    energy = float(system.hamiltonian(mu_n))
+    try:
+        drift = float(np.max(np.abs(_loop_spectrum(mu_n) - _loop_spectrum(rec.mu0))))
+    except np.linalg.LinAlgError:
+        drift = float("nan")
+    return TrajectoryRecord(
+        step=step,
+        t=step * h,
+        energy=energy,
+        energy_drift=energy - rec.energy0,
+        spectral_drift=drift,
+        casimir_values=tuple(float(c) for c in system.casimirs(mu_n)),
+        solver_iters_total=solver_iters,
+        membership_residual=float(system.state_residual(mu_n)),
+    )
+
+
+def _per_state_run(system, mu0, h, n_steps, method, record_every=1):
+    """run_recorded with the default config, recording state by state."""
+    cfg = StepperConfig()
+    step = {
+        "isospectral": lambda mu: isospectral_sdirk_step(mu, system, cfg, h),
+        "gawlik": lambda mu: gawlik_step(mu, h, system, cfg),
+        "rk4": lambda mu: (classical_rk4_step(mu, h, system), []),
+    }[method]
+    rec = Recorder(system, mu0)
+    return [
+        _per_state_record(rec, mu, sum(s.iters for s in stages), n, h)
+        for n, mu, stages in _drive(step, mu0, n_steps)
+        if n % record_every == 0 or n == n_steps
+    ]
 
 
 class TestRecord:
     def test_initial_point_has_zero_drifts(self):
         sys = RigidBody()
         mu0 = sys.initial_state(0)
-        r = Recorder(sys, mu0).record(mu0, [])
+        [r] = Recorder(sys, mu0).record([(0, mu0, 0)])
         assert r.step == 0 and r.t == 0.0
         assert r.energy_drift == 0.0
         assert r.spectral_drift == 0.0
@@ -38,7 +84,7 @@ class TestRecord:
         mu0 = sys.initial_state(1)
         q = cayley(random_algebra_element(sys.context, 9))
         moved = q @ mu0 @ q.T
-        r = Recorder(sys, mu0).record(moved, [], step=3, h=0.5)
+        [r] = Recorder(sys, mu0).record([(3, moved, 0)], h=0.5)
         assert r.spectral_drift < 1e-13
         assert r.t == 1.5
 
@@ -49,10 +95,9 @@ class TestRecord:
         mu0 = sys.initial_state(2)
         st = solve_stage(mu0, 0.05, sys, StepperConfig())
         rec = Recorder(sys, mu0)
-        rec.record(mu0, [])
-        assert rec.record(st.mu_half, [st], step=1, h=0.05) == Recorder(sys, mu0).record(
-            st.mu_half, [st], step=1, h=0.05
-        )
+        rec.record([(0, mu0, 0)])
+        point = [(1, st.mu_half, st.iters)]
+        assert rec.record(point, h=0.05) == Recorder(sys, mu0).record(point, h=0.05)
 
     def test_eigensolver_failure_is_flagged_not_raised(self, monkeypatch):
         sys = RigidBody()
@@ -63,9 +108,70 @@ class TestRecord:
             raise np.linalg.LinAlgError("no convergence")
 
         monkeypatch.setattr(diag, "spectrum", explode)
-        r = rec.record(mu0, [], step=1, h=0.1)
+        [r] = rec.record([(1, mu0, 0)], h=0.1)
         assert math.isnan(r.spectral_drift)
         assert r.energy_drift == 0.0
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("method", ["isospectral", "gawlik", "rk4"])
+    @pytest.mark.parametrize(
+        "make, h", [(RigidBody, 0.05), (lambda: TodaExtended(4), 0.05), (lambda: ZeitlinSphere(9), 0.005)]
+    )
+    def test_block_matches_per_state_reference(self, make, h, method, record_every):
+        # 151 or 23 recorded states: record_every=1 crosses two block
+        # boundaries, record_every=7 fills a single short block.
+        sys = make()
+        mu0 = sys.initial_state(3)
+        got = run_recorded(sys, mu0, StepperConfig(), h, 150, method=method, record_every=record_every)
+        assert repr(got) == repr(_per_state_run(sys, mu0, h, 150, method, record_every))
+
+    def test_real_state_among_complex_ones_keeps_its_spectrum(self):
+        # A real so(N) state on the sphere steps to complex states; a
+        # block stacked through complex would move the first drift off 0.
+        sys = ZeitlinSphere(N=5)
+        mu0 = np.ascontiguousarray(sys.initial_state(0).real)
+        got = run_recorded(sys, mu0, StepperConfig(), 0.01, 70)
+        assert got[0].spectral_drift == 0.0
+        assert repr(got) == repr(_per_state_run(sys, mu0, 0.01, 70, "isospectral"))
+
+    def test_one_spectrum_call_per_block(self, monkeypatch):
+        sys = RigidBody()
+        calls = []
+        real_spectrum = diag.spectrum
+        monkeypatch.setattr(diag, "spectrum", lambda a: calls.append(a.shape) or real_spectrum(a))
+        run_recorded(sys, sys.initial_state(0), StepperConfig(), 0.01, 150)
+        assert calls == [(3, 3), (64, 3, 3), (64, 3, 3), (23, 3, 3)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_run_reads_nan_where_the_reference_does(self):
+        # RK4 on Toda at h = 0.3 overflows at step 5, inside the first
+        # block, and eigvals rejects the stack that holds those states.
+        sys = TodaExtended(4)
+        mu0 = sys.initial_state(0)
+        got = run_recorded(sys, mu0, StepperConfig(), 0.3, 150, method="rk4")
+        ref = _per_state_run(sys, mu0, 0.3, 150, "rk4")
+        assert [math.isnan(r.spectral_drift) for r in got] == [n >= 5 for n in range(151)]
+        assert repr(got) == repr(ref)
+
+    def test_failing_state_alone_reads_nan(self, monkeypatch):
+        sys = RigidBody()
+        mu0 = sys.initial_state(0)
+        points = [(n, mu, 0) for n, mu, _ in _drive(lambda mu: (classical_rk4_step(mu, 0.1, sys), []), mu0, 9)]
+        rec = Recorder(sys, mu0)
+        clean = rec.record(points, h=0.1)
+        bad = points[4][1]
+        real_spectrum = diag.spectrum
+
+        def fails_on_bad(a):
+            if any(np.array_equal(m, bad) for m in a.reshape(-1, *a.shape[-2:])):
+                raise np.linalg.LinAlgError("no convergence")
+            return real_spectrum(a)
+
+        monkeypatch.setattr(diag, "spectrum", fails_on_bad)
+        got = rec.record(points, h=0.1)
+        assert [math.isnan(r.spectral_drift) for r in got] == [n == 4 for n in range(10)]
+        assert [r for n, r in enumerate(got) if n != 4] == [r for n, r in enumerate(clean) if n != 4]
+        assert replace(got[4], spectral_drift=clean[4].spectral_drift) == clean[4]
 
 
 class TestRunRecorded:

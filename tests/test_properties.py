@@ -1,4 +1,5 @@
-"""Seeded property tests of the Cayley maps and the inverse Laplacian.
+"""Seeded property tests of the Cayley maps, the stacked canonical
+spectrum and the inverse Laplacian.
 
 Hypothesis draws the sizes, scales and seeds; derandomize=True makes
 every run draw the same examples, so a failure reproduces exactly.
@@ -11,8 +12,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from isork.quadlie import SplitMix64, cayley, cayley_conjugate, dcay, dcay_inv  # noqa: E402
+from isork.quadlie import SplitMix64, cayley, cayley_conjugate, dcay, dcay_inv, spectrum  # noqa: E402
 from isork.systems import zeitlin_laplacian_inv  # noqa: E402
+from test_quadlie import _loop_spectrum  # noqa: E402
 from test_systems import _per_diagonal_laplacian_inv  # noqa: E402
 
 SEEDED = settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -59,6 +61,54 @@ def test_dcay_after_dcay_inv_of_negated_is_adjoint(case):
     c = cayley(xi)
     got = dcay(xi, dcay_inv(-xi, eta))
     assert np.linalg.norm(got @ c - c @ eta) <= 1e-12 * (1.0 + np.linalg.norm(eta))
+
+
+@st.composite
+def spectrum_stacks(draw):
+    """(K, n, n) stacks with K <= 5 and n <= 6, real or complex.
+
+    Each matrix is block diagonal: 2x2 blocks [[a, b], [-b, a]] give
+    exact conjugate pairs a +- ib, 1x1 blocks real eigenvalues (shifted
+    by an imaginary c in complex stacks).  Real parts come from three
+    levels plus a jitter, far below or near spectrum's tolerance, so
+    clusters of near-equal real parts are common.  Every other matrix
+    is scaled by 8, which scales its tolerance.  Some stacks are turned
+    by a Cayley similarity, orthogonal or unitary.
+    """
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    complex_entries = draw(st.booleans())
+    turned = draw(st.booleans())
+    jitter = draw(st.sampled_from([0.0, 1e-15, 1e-12, 2e-9]))
+    u = SplitMix64(draw(st.integers(0, 2**32))).uniform((k, 4, n))
+    levels = np.array([-0.5, 0.0, 0.75])[(3 * (u[:, 0] + 1) / 2).astype(int)]
+    stack = np.zeros((k, n, n), dtype=complex if complex_entries else float)
+    for m in range(k):
+        i = 0
+        while i < n:
+            a = levels[m, i] + jitter * u[m, 1, i]
+            if i + 1 < n and u[m, 2, i] > 0:
+                b = u[m, 3, i]
+                stack[m, i : i + 2, i : i + 2] = [[a, b], [-b, a]]
+                i += 2
+            else:
+                stack[m, i, i] = a + (1j * u[m, 3, i] if complex_entries else 0.0)
+                i += 1
+        if turned:
+            g = _matrix(int(1e6 * (u[m, 3, 0] + 1)), n, complex_entries)
+            stack[m] = cayley_conjugate((g - g.conj().T) / 2.0, stack[m])
+        stack[m] *= 8.0 ** (m % 2)
+    return stack
+
+
+@SEEDED
+@given(spectrum_stacks())
+def test_stacked_spectrum_matches_each_matrix_and_the_loop(stack):
+    got = spectrum(stack)
+    assert got.shape == stack.shape[:-1]
+    for k in range(stack.shape[0]):
+        assert np.array_equal(got[k], spectrum(stack[k]))
+        assert np.array_equal(got[k], _loop_spectrum(stack[k]))
 
 
 @SEEDED

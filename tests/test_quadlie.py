@@ -161,6 +161,26 @@ class TestDcay:
         assert np.allclose(cayley_conjugate(xi, x), q @ x @ np.linalg.inv(q), atol=1e-12)
 
 
+def _loop_spectrum(a, real_tol=1e-9):
+    """Canonical spectrum of one matrix, clustered by a while loop: the
+    reference the stacked, vectorised `spectrum` must reproduce exactly."""
+    ev = np.linalg.eigvals(np.asarray(a, dtype=np.result_type(a.dtype, np.float64)))
+    ev = ev[np.lexsort((ev.imag, ev.real))]
+    if ev.size == 0:
+        return ev
+    tol = real_tol * (1.0 + float(np.max(np.abs(ev))))
+    out = np.empty_like(ev)
+    i, n = 0, ev.size
+    while i < n:
+        j = i + 1
+        while j < n and ev[j].real - ev[j - 1].real <= tol:
+            j += 1
+        cluster = ev[i:j]
+        out[i:j] = cluster[np.argsort(cluster.imag, kind="stable")]
+        i = j
+    return out
+
+
 class TestSpectrum:
     def test_real_diagonal_order(self):
         assert np.allclose(spectrum(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0])
@@ -170,6 +190,31 @@ class TestSpectrum:
 
     def test_empty(self):
         assert spectrum(np.zeros((0, 0))).size == 0
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_stack_of_tiny_matrices(self, n):
+        stack = np.arange(3.0 * n * n).reshape(3, n, n) - 1.0
+        got = spectrum(stack)
+        assert got.shape == (3, n)
+        for k in range(3):
+            assert np.array_equal(got[k], _loop_spectrum(stack[k]))
+
+    def test_stack_matches_each_matrix(self):
+        # Skew stacks (conjugate pairs whose real parts are roundoff), a
+        # real stack that mixes real and complex spectra, and matrices of
+        # different scale: the tolerance is relative to each matrix, so
+        # the 3e-9 real gap splits the first one's clusters.
+        ctx = orthogonal_structure(5)
+        skew = np.stack([random_algebra_element(ctx, seed) for seed in range(4)])
+        mixed = np.stack([np.diag([3.0, 1.0, 2.0]), np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])])
+        scales = np.stack([np.diag([3e-9 - 1j, 1j]), np.diag([100.0, 1.0])])
+        assert np.array_equal(spectrum(scales)[0], [1j, 3e-9 - 1j])
+        for stack in (skew, mixed, scales, skew.reshape(2, 2, 5, 5)):
+            got = spectrum(stack)
+            assert got.shape == stack.shape[:-1]
+            for idx in np.ndindex(stack.shape[:-2]):
+                assert np.array_equal(got[idx], spectrum(stack[idx]))
+                assert np.array_equal(got[idx], _loop_spectrum(stack[idx]))
 
     def test_similarity_keeps_canonical_order(self):
         # Real parts of skew spectra are roundoff noise; the clustered
