@@ -228,6 +228,12 @@ def _max_of(values) -> float:
     return float(np.max(list(values)))
 
 
+def _first_non_finite(records) -> str:
+    """The step of the first record with a non-finite field, or "none"."""
+    fields_of = lambda r: (r.energy, r.energy_drift, r.spectral_drift, r.membership_residual, *r.casimir_values)
+    return next((str(r.step) for r in records if not all(map(math.isfinite, fields_of(r)))), "none")
+
+
 def _print_run_summary(config: RunConfig, tableau, records, path: str) -> None:
     final = records[-1]
     max_spectral = _max_of(r.spectral_drift for r in records)
@@ -245,6 +251,7 @@ def _print_run_summary(config: RunConfig, tableau, records, path: str) -> None:
     print(f"final spectral drift: {final.spectral_drift:.6e}")
     print(f"max spectral drift: {max_spectral:.6e}")
     print(f"max membership residual: {max_membership:.6e}")
+    print(f"first non-finite step: {_first_non_finite(records)}")
     print(
         f"solver iterations: total={total_iters} "
         f"mean/stage={total_iters / stage_count:.2f} max/step={max_step}"
@@ -313,18 +320,19 @@ def cmd_compare(config: RunConfig, methods) -> int:
         records = run_recorded(system, mu0, cfg, config.h, config.steps, method=kind)
         path = f"{prefix}-{label}.csv"
         write_csv(records, path)
-        results.append((label, _max_of(r.spectral_drift for r in records), path))
+        results.append((label, _max_of(r.spectral_drift for r in records), path, _first_non_finite(records)))
     reference = next(
         (r for r in results if r[0] == "isospectral-midpoint"), results[0]
     )
     ref_drift = reference[1]
-    width = max(len(label) for label, _, _ in results)
+    width = max(len(label) for label, *_ in results)
     print(f"compare: system={config.system} h={config.h!r} steps={config.steps} seed={config.seed}")
     print(f"{'method'.ljust(width)}  {'max spectral drift':>20}  {'ratio vs ' + reference[0]:>26}")
-    for label, drift, path in results:
+    for label, drift, *_ in results:
         ratio = drift / ref_drift if ref_drift != 0 else float("inf")
         print(f"{label.ljust(width)}  {drift:>20.6e}  {ratio:>26.3e}")
-    for _, _, path in results:
+    for label, _, path, first in results:
+        print(f"first non-finite step ({label}): {first}")
         print(f"wrote {path}")
     return 0
 

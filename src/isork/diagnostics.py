@@ -9,8 +9,8 @@ sorting against the stored initial spectrum, not by continuous
 tracking: the integrators conserve spectra, so the sorted order is
 stable, and the clustered tie-handling in `spectrum` keeps conjugate
 pairs from swapping under roundoff.  Recorded states are measured in
-blocks of up to 64 with one stacked `spectrum` call each; the values
-are those of one call per state.
+blocks of up to 64 states and 2 MiB, one `spectrum` and one system
+call per quantity per block; the values are those of one call per state.
 
 Recorded runs and convergence sweeps hand a step callable (the
 isospectral stepper or either baseline) to the integrator's single
@@ -51,6 +51,7 @@ __all__ = [
 
 _METHODS = ("isospectral", "gawlik", "rk4")
 _RECORD_BLOCK = 64
+_RECORD_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,9 @@ class ConvergenceReport:
 class Recorder:
     """Caches the initial spectrum and energy of a trajectory being recorded.
 
-    `record` finds a block's spectra with one stacked `spectrum` call;
-    energy, Casimirs and membership stay per-state system calls.
+    `record` stacks a block of states once and measures it with one
+    call each of `spectrum` and the system's `hamiltonian`, `casimirs`
+    and `state_residual`.
     """
 
     def __init__(self, system, mu0):
@@ -98,35 +100,26 @@ class Recorder:
 
     def record(self, points, h: float = 0.0) -> list[TrajectoryRecord]:
         """One record per (step, mu_n, solver_iters) in the list points, in order."""
-        system = self.system
-        out = []
-        for (step, mu_n, iters), drift in zip(points, self._spectral_drifts([p[1] for p in points])):
-            energy = float(system.hamiltonian(mu_n))
-            out.append(
-                TrajectoryRecord(
-                    step=step,
-                    t=step * h,
-                    energy=energy,
-                    energy_drift=energy - self.energy0,
-                    spectral_drift=drift,
-                    casimir_values=tuple(float(c) for c in system.casimirs(mu_n)),
-                    solver_iters_total=iters,
-                    membership_residual=float(system.state_residual(mu_n)),
-                )
-            )
-        return out
-
-    def _spectral_drifts(self, states) -> list[float]:
-        # np.stack would promote a real state among complex ones, changing
-        # its eigensolver; such a block, and one whose solve fails, is redone
-        # state by state, so only a state that fails alone reads NaN.
-        if len({mu.dtype for mu in states}) == 1:
+        # A block that mixes dtypes (stacking would promote a real state) or
+        # fails its eigensolve is redone state by state, so only a failing state reads NaN.
+        drifts = None
+        if len({p[1].dtype for p in points}) == 1:
+            stack = np.stack([p[1] for p in points])
             try:
-                return np.max(np.abs(spectrum(np.stack(states)) - self.spectrum0), axis=-1).tolist()
+                drifts = np.max(np.abs(spectrum(stack) - self.spectrum0), axis=-1).tolist()
             except np.linalg.LinAlgError:
-                if len(states) == 1:
-                    return [math.nan]
-        return [d for mu in states for d in self._spectral_drifts([mu])]
+                drifts = [math.nan] if len(points) == 1 else None
+        if drifts is None:
+            return [r for p in points for r in self.record([p], h)]
+        system = self.system
+        energies, casimirs, residuals = (
+            f(stack).tolist() for f in (system.hamiltonian, system.casimirs, system.state_residual)
+        )
+        return [
+            TrajectoryRecord(step=step, t=step * h, energy=e, energy_drift=e - self.energy0, spectral_drift=d,
+                             casimir_values=tuple(c), solver_iters_total=iters, membership_residual=r)
+            for (step, _, iters), d, e, c, r in zip(points, drifts, energies, casimirs, residuals)
+        ]
 
 
 def run_recorded(
@@ -144,8 +137,8 @@ def run_recorded(
     ("gawlik", "rk4"); the baselines ignore cfg.tableau and advance
     with the bare step h.  Records the initial point, every
     record_every-th step, and always the final step.  Recorded states
-    wait in a buffer of at most 64 (16.8 MB at Zeitlin N = 128, 2x that
-    while stacked) with their summed sweep counts, not stage lists.
+    wait with their summed sweep counts, not stage lists, in a buffer
+    flushed at 64 states or 2 MiB, whichever comes first (8 at N = 128).
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
@@ -160,13 +153,14 @@ def run_recorded(
     else:
         step = lambda mu: (classical_rk4_step(mu, h, system), [])
     rec = Recorder(system, mu0)
-    records, block = [], []
+    records, block, nbytes = [], [], 0
     for n, mu, stages in _drive(step, mu0, n_steps):
         if n % record_every == 0 or n == n_steps:
             block.append((n, mu, sum(s.iters for s in stages)))
-            if len(block) == _RECORD_BLOCK or n == n_steps:
+            nbytes += mu.nbytes
+            if len(block) == _RECORD_BLOCK or nbytes >= _RECORD_BYTES or n == n_steps:
                 records += rec.record(block, h)
-                block = []
+                block, nbytes = [], 0
     return records
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadlie import cayley_conjugate, commutator, dcay_inv
+from .quadlie import _frobenius, cayley_conjugate, commutator, dcay_inv
 from .tableau import BUILTIN_TABLEAUS, SdirkTableau
 
 __all__ = [
@@ -250,9 +250,9 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
         b = b_map(mu)
         bmu = b @ mu
         defect = mu - a * (bmu - mu @ b) - (a * a) * (bmu @ b) - mu_prev
-        return (mu, b), mu - defect, float(np.linalg.norm(defect))
+        return (mu, b), mu - defect, _frobenius(defect)
 
-    scale = cfg.solver_tol * (1.0 + float(np.linalg.norm(mu_prev)))
+    scale = cfg.solver_tol * (1.0 + _frobenius(mu_prev))
     return _fixed_point(sweep, mu_prev, scale, cfg.solver_max_iters)
 
 
@@ -406,11 +406,11 @@ def cotangent_sdirk_step(state: CotangentState, system, cfg: StepperConfig, h: f
             p_mid = p + half * k[1]
             b = system.B(g_mid.conj().T @ p_mid)
             k_new = np.stack((g_mid @ b.conj().T, -(p_mid @ b)))
-            residual = max(float(np.linalg.norm(k_new[0] - k[0])), float(np.linalg.norm(k_new[1] - k[1])))
+            residual = max(_frobenius(k_new[0] - k[0]), _frobenius(k_new[1] - k[1]))
             return k_new, k_new, residual
 
         k0 = np.zeros((2,) + g.shape, dtype=np.result_type(g, p))
-        scale = cfg.solver_tol * (1.0 + float(np.linalg.norm(g)) + float(np.linalg.norm(p)))
+        scale = cfg.solver_tol * (1.0 + _frobenius(g) + _frobenius(p))
         (k_g, k_p), iters, residual = _fixed_point(sweep, k0, scale, cfg.solver_max_iters)
         g_mid = g + half * k_g
         p_mid = p + half * k_p

@@ -25,6 +25,8 @@ here enforces membership at runtime.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,10 +129,31 @@ def frobenius_pairing(a: np.ndarray, b: np.ndarray):
     return np.trace(np.asarray(a).conj().T @ b)
 
 
+def _frobenius(x: np.ndarray):
+    """np.linalg.norm(x) without its wrapper: a float, or an array (...) for a stack (..., n, n).
+
+    Sums as norm does, in ravel(order="K") order (each matrix's own in a
+    stack), with one dot each of the real and imaginary parts.
+    """
+    if x.ndim < 3:
+        v = x.ravel(order="K")
+        if v.dtype.kind == "c":
+            return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+        return math.sqrt(v.dot(v))
+    if abs(x.strides[-1]) > abs(x.strides[-2]):
+        x = x.mT
+    v = np.ascontiguousarray(x.reshape(*x.shape[:-2], -1))
+    return np.sqrt(sum(np.vecdot(part, part) for part in ((v.real, v.imag) if v.dtype.kind == "c" else (v,))))
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n: int, dtype: np.dtype) -> np.ndarray:
+    return np.broadcast_to(np.eye(n, dtype=dtype), (n, n))  # a read-only view, safe to share
+
+
 def _half_factors(xi: np.ndarray):
     xi = np.asarray(xi)
-    dtype = np.result_type(xi.dtype, np.float64)
-    eye = np.eye(xi.shape[0], dtype=dtype)
+    eye = _identity(xi.shape[0], np.result_type(xi.dtype, np.float64))
     return eye - 0.5 * xi, eye + 0.5 * xi
 
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .quadlie import (
     QuadraticStructure,
+    _frobenius,
     orthogonal_structure,
     random_algebra_element,
     special_unitary_structure,
@@ -50,17 +51,28 @@ __all__ = [
 ]
 
 
+def _trace(w: np.ndarray):
+    # Contiguous copies sum each diagonal as np.trace does; an F-ordered stack in place would not.
+    return np.trace(w) if w.ndim == 2 else np.ascontiguousarray(np.diagonal(w, 0, -2, -1)).sum(-1)
+
+
+def _float(value):
+    """A single matrix's value as a float; a stack's values stay an array."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def casimirs(w: np.ndarray, orders) -> list[float]:
     """Trace Casimirs tr(w^k) for the requested k, as real numbers.
 
     Real input reports the trace itself.  Complex input reports the
     real part for even k and the imaginary part for odd k: on
     skew-Hermitian states tr(w^k) is real for even k and purely
-    imaginary for odd k, so the other part vanishes identically.
+    imaginary for odd k, so the other part vanishes identically.  A
+    stack (..., n, n) gives the rows of an array (..., len(orders)).
     """
     odd_imag = np.iscomplexobj(w)
     out = []
-    p = np.eye(w.shape[0], dtype=np.result_type(w.dtype, np.float64))
+    p = np.eye(w.shape[-1], dtype=np.result_type(w.dtype, np.float64))
     k_prev = 0
     for k in orders:
         if k < k_prev:
@@ -69,17 +81,19 @@ def casimirs(w: np.ndarray, orders) -> list[float]:
             for _ in range(k - k_prev):
                 p = p @ w
         k_prev = k
-        tr = np.trace(p)
-        out.append(float(tr.imag if odd_imag and k % 2 else tr.real))
-    return out
+        tr = _trace(p)
+        out.append(tr.imag if odd_imag and k % 2 else tr.real)
+    return [float(c) for c in out] if w.ndim == 2 else np.stack(out, axis=-1)
 
 
 class IsospectralSystem:
     """Shared surface of the benchmark systems.
 
     Subclasses set `name`, `n`, `context`, `casimir_orders` and
-    implement `hamiltonian`, `grad_hamiltonian`, `initial_state`.  The
-    flow generator defaults to B = (grad H)^dagger; systems whose
+    implement `hamiltonian`, `grad_hamiltonian`, `initial_state`.
+    `hamiltonian`, `casimirs` and `state_residual` also take a stack
+    (..., n, n), giving arrays (...), (..., k), (...).  The flow
+    generator defaults to B = (grad H)^dagger; systems whose
     energy contains a Casimir summand may override B to drop that part,
     since a Casimir gradient commutes with the state and cannot move it.
     """
@@ -136,16 +150,17 @@ class RigidBody(IsospectralSystem):
         self.context = orthogonal_structure(3)
 
     def hamiltonian(self, w: np.ndarray) -> float:
-        return 0.5 * float(np.trace((self._iinv @ w).T @ w))
+        return _float(0.5 * _trace((self._iinv @ w).mT @ w))
 
     def grad_hamiltonian(self, w: np.ndarray) -> np.ndarray:
         return (self._iinv @ w + w @ self._iinv) / 2.0
 
     def casimirs(self, w: np.ndarray) -> list[float]:
-        return [float(np.linalg.norm(w) ** 2)]
+        # float_power rounds as float ** 2 does (libm pow); array ** 2 squares.
+        return [_frobenius(w) ** 2] if w.ndim == 2 else np.float_power(_frobenius(w), 2.0)[..., None]
 
     def state_residual(self, w: np.ndarray) -> float:
-        return float(np.linalg.norm(w + w.T))
+        return _frobenius(w + w.mT)
 
     def initial_state(self, seed: int, scale: float = 1.0) -> np.ndarray:
         return random_algebra_element(self.context, seed, scale)
@@ -202,7 +217,7 @@ def toda_extended_B(w: np.ndarray) -> np.ndarray:
     B_{n,1} = +W_{n,1}.  On symmetric w the result is skew-symmetric
     and coincides with the classical Toda B(L).
     """
-    return w * _toda_sign_mask(w.shape[0])
+    return w * _toda_sign_mask(w.shape[-1])
 
 
 def toda_extended_H(w: np.ndarray) -> float:
@@ -214,7 +229,7 @@ def toda_extended_H(w: np.ndarray) -> float:
     generates the flow.
     """
     w = np.asarray(w, dtype=float)
-    return float(-np.trace(w.T @ toda_extended_B(w)) + 2.0 * np.trace(w @ w))
+    return _float(-_trace(w.mT @ toda_extended_B(w)) + 2.0 * _trace(w @ w))
 
 
 class TodaExtended(IsospectralSystem):
@@ -248,7 +263,7 @@ class TodaExtended(IsospectralSystem):
         return w.T * _toda_sign_mask(w.shape[0], 2.0)
 
     def state_residual(self, w: np.ndarray) -> float:
-        return float(np.linalg.norm(w - w.T))
+        return _frobenius(w - w.mT)
 
     def initial_state(self, seed: int, scale: float = 1.0) -> np.ndarray:
         # The alternating-sign Lax data; deterministic, seed unused.
@@ -306,18 +321,19 @@ def zeitlin_laplacian(w: np.ndarray) -> np.ndarray:
     l(l+1) on the spin-l matrix harmonics; its kernel is spanned by the
     identity, so it is invertible on traceless matrices.
     """
-    d, c = _laplacian_coefficients(w.shape[0])
+    d, c = _laplacian_coefficients(w.shape[-1])
     out = d * w
-    out[1:, 1:] -= c[:-1, :-1] * w[:-1, :-1]
-    out[:-1, :-1] -= c[:-1, :-1] * w[1:, 1:]
+    out[..., 1:, 1:] -= c[:-1, :-1] * w[..., :-1, :-1]
+    out[..., :-1, :-1] -= c[:-1, :-1] * w[..., 1:, 1:]
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _laplacian_pinv(N: int) -> tuple[np.ndarray, np.ndarray]:
+def _laplacian_pinv(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pseudoinverse of the Laplacian over the wrapped diagonals of w.
 
-    Returns (stack, idx).  Row k of w.ravel()[idx] is the wrapped
+    Returns (stack, idx, inv), inv undoing idx: x.ravel()[inv] puts the
+    rows x back in place.  Row k of w.ravel()[idx] is the wrapped
     diagonal w[i, (i+k) % N], i = 0..N-1: the diagonal w[i, i+k] of
     length N-k followed by the diagonal w[i, i+k-N] of length k.  The
     Laplacian applies a symmetric tridiagonal matrix to each diagonal
@@ -340,9 +356,10 @@ def _laplacian_pinv(N: int) -> tuple[np.ndarray, np.ndarray]:
             stack[N - j, j:, j:] = stack[j, : N - j, : N - j]
     rows = np.arange(N)
     idx = rows * N + (rows + rows[:, None]) % N
-    for arr in (stack, idx):
+    inv = np.argsort(idx, axis=None).reshape(N, N)
+    for arr in (stack, idx, inv):
         arr.setflags(write=False)
-    return stack, idx
+    return stack, idx, inv
 
 
 def zeitlin_laplacian_inv(w: np.ndarray) -> np.ndarray:
@@ -359,16 +376,19 @@ def zeitlin_laplacian_inv(w: np.ndarray) -> np.ndarray:
 
 
 def _apply_laplacian_pinv(w: np.ndarray) -> np.ndarray:
-    """The pseudoinverse applied to w as it is, without the trace check."""
-    N = w.shape[0]
-    stack, idx = _laplacian_pinv(N)
-    diagonals = w.ravel()[idx].astype(complex, copy=False)
+    """The pseudoinverse applied to w, or to each matrix of a stack, without the trace check."""
+    N, lead = w.shape[-1], w.shape[:-2]
+    stack, idx, inv = _laplacian_pinv(N)
+    diagonals = np.ascontiguousarray(_take_last(w.reshape(*lead, N * N), idx), dtype=complex)
     # Real blocks act on real and imaginary parts alike: view the
     # complex entries as (re, im) column pairs.
-    solved = stack @ diagonals.view(np.float64).reshape(N, N, 2)
-    out = np.empty(N * N, dtype=complex)
-    out[idx] = solved.view(complex)[..., 0]
-    return out.reshape(N, N)
+    solved = stack @ diagonals.view(np.float64).reshape(*lead, N, N, 2)
+    return _take_last(solved.view(complex).reshape(*lead, N * N), inv)
+
+
+def _take_last(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """x[..., index]; plain indexing of a 1-D x is the faster call."""
+    return x[index] if x.ndim == 1 else x.take(index, axis=-1)
 
 
 class ZeitlinSphere(IsospectralSystem):
@@ -412,14 +432,16 @@ class ZeitlinSphere(IsospectralSystem):
         # inside u(N); that direction is the Laplacian kernel and both
         # update forms return the half points to su(N) exactly, so the
         # stream is computed from the traceless component.
-        trace = np.trace(w) / self.N
-        if trace != 0.0:
+        trace = _trace(w) / self.N
+        # A stack shifts its traceless matrices too, by a zero trace: that can
+        # flip only the sign of a diagonal zero, which no product below carries.
+        if w.ndim > 2 or trace != 0.0:
             w = w.copy()
-            w.flat[:: self.N + 1] -= trace
+            w.reshape(*w.shape[:-2], -1)[..., :: self.N + 1] -= trace[..., None] if w.ndim > 2 else trace
         return self._scale * _apply_laplacian_pinv(w)
 
     def hamiltonian(self, w: np.ndarray) -> float:
-        return 0.5 * float(np.real(np.trace(self._stream(w).conj().T @ w)))
+        return _float(0.5 * np.real(_trace(self._stream(w).conj().mT @ w)))
 
     def grad_hamiltonian(self, w: np.ndarray) -> np.ndarray:
         return self._stream(w)
@@ -430,7 +452,8 @@ class ZeitlinSphere(IsospectralSystem):
         return np.conjugate(stream, out=stream).T
 
     def state_residual(self, w: np.ndarray) -> float:
-        return float(np.linalg.norm(w + w.conj().T)) + abs(complex(np.trace(w)))
+        trace = _trace(w)
+        return _float(_frobenius(w + w.conj().mT) + np.hypot(trace.real, trace.imag))
 
     def initial_state(self, seed: int, scale: float = 1.0) -> np.ndarray:
         w = random_algebra_element(self.context, seed, 1.0)

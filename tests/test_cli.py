@@ -1,6 +1,7 @@
 """Command line: config merging, subcommands, exit codes."""
 
 import os
+import pathlib
 from dataclasses import fields
 
 import numpy as np
@@ -190,6 +191,13 @@ class TestRunCommand:
         assert "solver iterations" in summary
         assert f"wrote {out}" in summary
 
+    def test_golden_run_has_no_non_finite_step(self, tmp_path, capsys):
+        out = tmp_path / "golden.csv"
+        argv = ["run", "--system", "rigidbody", "--h", "0.01", "--steps", "100", "--seed", "42", "--out", str(out)]
+        assert main(argv) == 0
+        assert "first non-finite step: none" in capsys.readouterr().out.splitlines()
+        assert out.read_bytes() == (pathlib.Path(__file__).parent / "data" / "rigidbody-midpoint-seed42.csv").read_bytes()
+
     def test_default_output_name(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--steps", "2", "--h", "0.01"]) == 0
@@ -365,6 +373,24 @@ class TestCompareCommand:
         assert code == 0
         row = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("classical-rk4")]
         assert row[0].split()[1:] == ["nan", "nan"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_non_finite_step_per_method(self, tmp_path, capsys):
+        # RK4 on Toda at h = 0.3: casimir_4 overflows at step 4, a step
+        # before the spectral drift turns NaN; midpoint stays finite.
+        code = main(
+            ["compare", "--system", "toda", "--h", "0.3", "--steps", "40",
+             "--methods", "classical-rk4", "--out", str(tmp_path / "n")]
+        )
+        assert code == 0
+        assert "first non-finite step (classical-rk4): 4" in capsys.readouterr().out.splitlines()
+        code = main(
+            ["compare", "--h", "0.05", "--steps", "5", "--methods", "midpoint,classical-rk4",
+             "--out", str(tmp_path / "f")]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert "first non-finite step (midpoint): none" in lines
+        assert "first non-finite step (classical-rk4): none" in lines
 
     def test_reference_defaults_to_first_method(self, tmp_path, capsys):
         code = main(

@@ -52,6 +52,19 @@ def _per_state_record(rec, mu_n, solver_iters, step, h):
     )
 
 
+def _count_calls(system, monkeypatch):
+    """Shapes passed to spectrum and to the system's measurements, per name."""
+    calls = {"spectrum": [], "hamiltonian": [], "casimirs": [], "state_residual": []}
+
+    def counted(name, fn):
+        return lambda w: calls[name].append(w.shape) or fn(w)
+
+    monkeypatch.setattr(diag, "spectrum", counted("spectrum", diag.spectrum))
+    for name in ("hamiltonian", "casimirs", "state_residual"):
+        monkeypatch.setattr(system, name, counted(name, getattr(system, name)))
+    return calls
+
+
 def _per_state_run(system, mu0, h, n_steps, method, record_every=1):
     """run_recorded with the default config, recording state by state."""
     cfg = StepperConfig()
@@ -135,12 +148,37 @@ class TestRecord:
         assert repr(got) == repr(_per_state_run(sys, mu0, 0.01, 70, "isospectral"))
 
     def test_one_spectrum_call_per_block(self, monkeypatch):
+        # The initial spectrum and energy, then one spectrum, energy,
+        # Casimir and membership call per block of 64 recorded states.
         sys = RigidBody()
-        calls = []
-        real_spectrum = diag.spectrum
-        monkeypatch.setattr(diag, "spectrum", lambda a: calls.append(a.shape) or real_spectrum(a))
+        calls = _count_calls(sys, monkeypatch)
         run_recorded(sys, sys.initial_state(0), StepperConfig(), 0.01, 150)
-        assert calls == [(3, 3), (64, 3, 3), (64, 3, 3), (23, 3, 3)]
+        blocks = [(64, 3, 3), (64, 3, 3), (23, 3, 3)]
+        assert calls["spectrum"] == calls["hamiltonian"] == [(3, 3)] + blocks
+        assert calls["casimirs"] == calls["state_residual"] == blocks
+
+    @pytest.mark.parametrize("record_every", [1, 4])
+    @pytest.mark.parametrize(
+        "make, h, budget, size", [(RigidBody, 0.05, 5 * 72, 5), (lambda: ZeitlinSphere(9), 0.005, 3000, 3)]
+    )
+    def test_blocks_flush_at_the_byte_budget(self, monkeypatch, make, h, budget, size, record_every):
+        # 72 bytes per rigid state, so 5 fill 360; 1296 per N = 9 state, so 3 pass 3000.
+        sys = make()
+        mu0 = sys.initial_state(3)
+        ref = _per_state_run(sys, mu0, h, 150, "isospectral", record_every)
+        monkeypatch.setattr(diag, "_RECORD_BYTES", budget)
+        calls = _count_calls(sys, monkeypatch)
+        got = run_recorded(sys, mu0, StepperConfig(), h, 150, record_every=record_every)
+        sizes = [shape[0] for shape in calls["state_residual"]]
+        assert sizes == [size] * (len(ref) // size) + ([len(ref) % size] if len(ref) % size else [])
+        assert repr(got) == repr(ref)
+
+    def test_default_byte_budget_caps_large_states(self, monkeypatch):
+        # A Zeitlin N = 65 state takes 67,600 bytes: 32 of them pass 2 MiB.
+        sys = ZeitlinSphere(N=65)
+        calls = _count_calls(sys, monkeypatch)
+        run_recorded(sys, sys.initial_state(0), StepperConfig(), 0.0025, 40)
+        assert calls["spectrum"] == [(65, 65), (32, 65, 65), (9, 65, 65)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_run_reads_nan_where_the_reference_does(self):

@@ -1,5 +1,6 @@
 """Seeded property tests of the Cayley maps, the stacked canonical
-spectrum and the inverse Laplacian.
+spectrum, the inverse Laplacian, the Frobenius norm helper and the
+stacked system measurements.
 
 Hypothesis draws the sizes, scales and seeds; derandomize=True makes
 every run draw the same examples, so a failure reproduces exactly.
@@ -12,8 +13,24 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from isork.quadlie import SplitMix64, cayley, cayley_conjugate, dcay, dcay_inv, spectrum  # noqa: E402
-from isork.systems import zeitlin_laplacian_inv  # noqa: E402
+from isork.quadlie import (  # noqa: E402
+    SplitMix64,
+    _frobenius,
+    cayley,
+    cayley_conjugate,
+    dcay,
+    dcay_inv,
+    random_algebra_element,
+    spectrum,
+)
+from isork.systems import (  # noqa: E402
+    RigidBody,
+    TodaExtended,
+    ZeitlinSphere,
+    casimirs,
+    toda_extended_B,
+    zeitlin_laplacian_inv,
+)
 from test_quadlie import _loop_spectrum  # noqa: E402
 from test_systems import _per_diagonal_laplacian_inv  # noqa: E402
 
@@ -118,3 +135,157 @@ def test_inverse_laplacian_matches_per_diagonal_reference(N, seed):
     w.flat[:: N + 1] -= np.trace(w) / N
     ref = _per_diagonal_laplacian_inv(w)
     assert np.linalg.norm(zeitlin_laplacian_inv(w) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def _reference_casimirs(w, orders):
+    """The one-matrix Casimir loop as it was before stacks."""
+    out = []
+    p = np.eye(w.shape[0], dtype=np.result_type(w.dtype, np.float64))
+    k_prev = 0
+    for k in orders:
+        if k < k_prev:
+            p = np.linalg.matrix_power(w, k)
+        else:
+            for _ in range(k - k_prev):
+                p = p @ w
+        k_prev = k
+        tr = np.trace(p)
+        out.append(float(tr.imag if np.iscomplexobj(w) and k % 2 else tr.real))
+    return out
+
+
+def _reference_measurements(system, w):
+    """(energy, Casimirs, residual) of one matrix by the formulas before stacks."""
+    if isinstance(system, RigidBody):
+        return (
+            0.5 * float(np.trace((system._iinv @ w).T @ w)),
+            [float(np.linalg.norm(w) ** 2)],
+            float(np.linalg.norm(w + w.T)),
+        )
+    if isinstance(system, TodaExtended):
+        energy = float(-np.trace(w.T @ toda_extended_B(w)) + 2.0 * np.trace(w @ w))
+        return energy, _reference_casimirs(w, system.casimir_orders), float(np.linalg.norm(w - w.T))
+    return (
+        0.5 * float(np.real(np.trace(system._stream(w).conj().T @ w))),
+        _reference_casimirs(w, system.casimir_orders),
+        float(np.linalg.norm(w + w.conj().T)) + abs(complex(np.trace(w))),
+    )
+
+
+def _laid_out(stack, layout):
+    """The stack in C order, in F order, or with every matrix transposed."""
+    if layout == "F":
+        return np.asfortranarray(stack)
+    if layout == "T":
+        return np.ascontiguousarray(stack.mT).mT
+    return stack
+
+
+@st.composite
+def norm_stacks(draw):
+    """(K, n, n) stacks with K <= 5 and 0 <= n <= 6, real or complex, in each layout."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 6))
+    stack = _matrix(draw(st.integers(0, 2**32)), k * n, draw(st.booleans()))[: k * n, :n]
+    stack = stack.reshape(k, n, n) * 10.0 ** draw(st.integers(-3, 3))
+    return _laid_out(stack, draw(st.sampled_from("CFT")))
+
+
+@SEEDED
+@given(norm_stacks())
+def test_frobenius_is_norm_on_each_matrix_and_on_the_stack(stack):
+    # norm(x, axis=(-2, -1)) sums in another order: the last bit moves.
+    got = _frobenius(stack)
+    assert got.shape == stack.shape[:-2]
+    for k in range(stack.shape[0]):
+        ref = repr(float(np.linalg.norm(stack[k])))
+        assert repr(_frobenius(stack[k])) == ref
+        assert repr(float(got[k])) == ref
+
+
+@st.composite
+def system_stacks(draw):
+    """(system, stack): K <= 5 states of a builtin system in one layout.
+
+    Each matrix is a seeded general matrix, a state of the system's
+    algebra (skew; traceless skew-Hermitian on the sphere), such a
+    state plus a multiple of the identity (a stage iterate off the
+    traceless slice), or zeros of either sign; some get one NaN or inf
+    entry, and matrices alternate scales 1 and 8.  Rigid body and Toda
+    stacks are real, Zeitlin stacks real or complex, so their traces
+    are zero for some matrices and not for others.
+    """
+    name = draw(st.sampled_from(["rigid", "toda", "zeitlin", "forward"]))
+    if name == "rigid":
+        system = RigidBody((1.0, 2.0, 3.5))
+    elif name == "toda":
+        system = TodaExtended(draw(st.integers(3, 6)))
+    else:
+        system = ZeitlinSphere(draw(st.integers(2, 9)), forward_laplacian=name == "forward")
+    n = system.n
+    complex_entries = isinstance(system, ZeitlinSphere) and draw(st.booleans())
+    k = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32))
+    stack = np.zeros((k, n, n), dtype=complex if complex_entries else float)
+    for m in range(k):
+        kind = draw(st.sampled_from(["general", "algebra", "shifted", "+0", "-0"]))
+        if kind == "general":
+            stack[m] = _matrix(seed + m, n, complex_entries)
+        elif kind in ("algebra", "shifted"):
+            x = random_algebra_element(system.context, seed + m)
+            stack[m] = x if complex_entries or not np.iscomplexobj(x) else x.real
+            if kind == "shifted":
+                stack[m] += _matrix(seed - m, 1, complex_entries)[0, 0] * np.eye(n)
+        elif kind == "-0":
+            stack[m] = -0.0
+        bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+        if bad is not None:
+            stack[m, seed % n, (seed // n) % n] = bad
+        stack[m] *= 8.0 ** (m % 2)
+    return system, _laid_out(stack, draw(st.sampled_from("CFT")))
+
+
+@settings(SEEDED, max_examples=100)
+@given(system_stacks())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_measurements_equal_each_matrix(case):
+    # The Zeitlin trace modulus must be hypot, as abs(complex) is:
+    # np.abs of a complex trace differs in the last bit.  The stream
+    # matrices behind the Zeitlin energy must match byte for byte, zero
+    # signs included, although a stack also shifts its traceless matrices.
+    system, stack = case
+    energy = system.hamiltonian(stack)
+    cas = system.casimirs(stack)
+    residual = system.state_residual(stack)
+    k = stack.shape[0]
+    assert energy.shape == residual.shape == (k,)
+    assert cas.shape == (k, len(system.casimir_orders))
+    for m in range(k):
+        w = stack[m]
+        assert repr(float(energy[m])) == repr(system.hamiltonian(w))
+        assert repr(cas[m].tolist()) == repr(system.casimirs(w))
+        assert repr(float(residual[m])) == repr(system.state_residual(w))
+        assert repr((system.hamiltonian(w), system.casimirs(w), system.state_residual(w))) == repr(
+            _reference_measurements(system, w)
+        )
+        if isinstance(system, ZeitlinSphere):
+            assert system._stream(stack)[m].tobytes() == system._stream(w).tobytes()
+
+
+@SEEDED
+@given(norm_stacks(), st.sampled_from([(2,), (2, 3, 4), (3, 2), (2, 5, 3)]))
+def test_stacked_casimirs_equal_each_matrix(stack, orders):
+    got = casimirs(stack, orders)
+    assert got.shape == stack.shape[:-2] + (len(orders),)
+    for k in range(stack.shape[0]):
+        assert repr(got[k].tolist()) == repr(casimirs(stack[k], orders)) == repr(_reference_casimirs(stack[k], orders))
+
+
+def test_stacked_zeitlin_residual_takes_the_trace_modulus_by_hypot():
+    # np.abs of a complex trace differs from abs(complex) in the last bit
+    # for about a third of traces, and the Frobenius term hides half of
+    # that; 40 states off the traceless slice catch a stack that uses it.
+    system = ZeitlinSphere(5)
+    shifted = [random_algebra_element(system.context, s) + _matrix(s, 1, True)[0, 0] * np.eye(5) for s in range(40)]
+    got = system.state_residual(np.stack(shifted))
+    assert [repr(float(r)) for r in got] == [repr(_reference_measurements(system, w)[2]) for w in shifted]
