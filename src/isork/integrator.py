@@ -156,48 +156,62 @@ class StageState:
 _PLAIN_SWEEPS = 6
 # Number of past residual differences in each Anderson least-squares fit.
 _MIXING_DEPTH = 8
+# The mixer fits on every _FIT_PERIOD-th stored difference and takes the
+# plain update G(x) in between (periodic Pulay mixing).
+_FIT_PERIOD = 2
 
 
 class _AndersonMixer:
-    """Type-II Anderson mixing for a fixed-point iteration x <- G(x).
+    """Periodic type-II Anderson mixing for a fixed-point iteration x <- G(x).
 
     Walker & Ni, "Anderson acceleration for fixed-point iterations",
-    SIAM J. Numer. Anal. 49 (2011).  Each call takes the iterate x and
-    G(x) and returns G(x) - dG gamma, where gamma minimises
-    ||f - dF gamma||_2 for the residual f = G(x) - x over the flattened
-    differences dF, dG of the last _MIXING_DEPTH residuals and map
-    values.  With so few columns the normal equations are cheaper than
-    a general least-squares call.  The first call, and any call whose
-    solve fails (LinAlgError or a non-finite gamma), returns the plain
-    update G(x); the caller's stopping test alone decides convergence.
+    SIAM J. Numer. Anal. 49 (2011); fitting on every k-th iterate only
+    is periodic Pulay mixing (Banerjee, Suryanarayana & Pask,
+    Chem. Phys. Lett. 647, 2016).  Every call takes the iterate x and
+    G(x) and stores the flattened differences dF, dG of the residual
+    f = G(x) - x and of the map value against the previous call in
+    ring buffers of _MIXING_DEPTH rows.  When the number of stored
+    differences is a multiple of _FIT_PERIOD the call returns
+    G(x) - dG gamma, where gamma minimises ||f - dF gamma||_2 over the
+    last _MIXING_DEPTH differences; every other call returns the plain
+    update G(x).  A fit forms the normal equations' matrix and
+    right-hand side in one Gram product over the rows [f, dF] and
+    makes one small solve.  The first call, and any fit whose solve
+    fails (LinAlgError or a non-finite gamma), also returns G(x); the
+    caller's stopping test alone decides convergence.
     """
 
     def __init__(self):
-        self._prev = None
+        self._g = None
         self._stored = 0
-        self._dg = self._df = None
 
     def __call__(self, x, gx):
         g = gx.ravel()
-        f = g - x.ravel()
-        if self._prev is None:
-            self._dg = np.empty((_MIXING_DEPTH, g.size), f.dtype)
-            self._df = np.empty_like(self._dg)
-            self._prev = g, f
+        if self._g is None:
+            # Row 0 holds the current residual, rows 1.. the ring of dF.
+            self._f = np.empty((_MIXING_DEPTH + 1, g.size), np.result_type(g, x))
+            self._dg = np.empty((_MIXING_DEPTH, g.size), self._f.dtype)
+            self._f_new = np.empty(g.size, self._f.dtype)
+            np.subtract(g, x.ravel(), out=self._f[0])
+            self._g = g
             return gx
-        row = self._stored % _MIXING_DEPTH
-        self._dg[row] = g - self._prev[0]
-        self._df[row] = f - self._prev[1]
+        f, row = self._f, self._stored % _MIXING_DEPTH
+        np.subtract(g, x.ravel(), out=self._f_new)
+        np.subtract(self._f_new, f[0], out=f[row + 1])
+        f[0] = self._f_new
+        np.subtract(g, self._g, out=self._dg[row])
+        self._g = g
         self._stored += 1
-        self._prev = g, f
+        if self._stored % _FIT_PERIOD:
+            return gx
         m = min(self._stored, _MIXING_DEPTH)
-        df = self._df[:m]
-        dfh = df.conj()
+        rows = f[: m + 1]
+        gram = rows.conj() @ rows.T
         try:
-            gamma = np.linalg.solve(dfh @ df.T, dfh @ f)
+            gamma = np.linalg.solve(gram[1:, 1:], gram[1:, 0])
         except np.linalg.LinAlgError:
             return gx
-        if not np.isfinite(gamma).all():
+        if not math.isfinite(abs(gamma.sum())):
             return gx
         return (g - gamma @ self._dg[:m]).reshape(gx.shape)
 
@@ -207,14 +221,16 @@ def _fixed_point(sweep, x0, scale, max_iters):
 
     sweep(x) -> (result, G(x), residual) evaluates B once at the
     iterate x and returns what the caller keeps on convergence, the
-    fixed-point map's value G(x) and the residual of x.  The loop stops
-    at the first sweep whose residual is within scale and returns
-    (result, iters, residual).  The first _PLAIN_SWEEPS sweeps take the
-    plain update x <- G(x); an iteration still unconverged after them
-    continues with Anderson mixing of those updates (_AndersonMixer).
-    iters counts sweeps, so an already converged seed reports 1.
-    Raises NonConvergenceError on a non-finite residual or after
-    max_iters sweeps.
+    fixed-point map's value G(x) and the residual of x as a float.  The
+    loop stops at the first sweep whose residual is within scale and
+    returns (result, iters, residual).  The first _PLAIN_SWEEPS sweeps
+    take the plain update x <- G(x); an iteration still unconverged
+    after them feeds every further sweep to an _AndersonMixer, which
+    fits on every _FIT_PERIOD-th of them only, so a stage that settles
+    within _PLAIN_SWEEPS + _FIT_PERIOD sweeps never fits and runs
+    exactly the plain iteration.  iters counts sweeps, so an already
+    converged seed reports 1.  Raises NonConvergenceError on a
+    non-finite residual or after max_iters sweeps.
     """
     x = x0
     residual = np.inf
@@ -226,7 +242,7 @@ def _fixed_point(sweep, x0, scale, max_iters):
             result, gx, residual = sweep(x)
             if residual <= scale:
                 return result, k + 1, residual
-            if not np.isfinite(residual):
+            if not math.isfinite(residual):
                 raise NonConvergenceError(k + 1, residual)
             if k + 1 < _PLAIN_SWEEPS:
                 x = gx

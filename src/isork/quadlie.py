@@ -154,7 +154,8 @@ def _identity(n: int, dtype: np.dtype) -> np.ndarray:
 def _half_factors(xi: np.ndarray):
     xi = np.asarray(xi)
     eye = _identity(xi.shape[0], np.result_type(xi.dtype, np.float64))
-    return eye - 0.5 * xi, eye + 0.5 * xi
+    half = 0.5 * xi
+    return eye - half, eye + half
 
 
 def _solve_right(a: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -304,8 +304,8 @@ class TestExitCodes:
     )
     def test_toda_at_h_0_2_converges(self, argv, tmp_path, monkeypatch):
         # Plain Picard iteration needs more than the default 200 sweeps
-        # for the first Toda stage at h = 0.2 (exit 3); with mixing no
-        # stage of these runs needs 30.
+        # for the first Toda stage at h = 0.2 (exit 3); with mixing the
+        # stages of a 1,000-step compare run need at most 35.
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 0
 

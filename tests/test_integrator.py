@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from isork.integrator import (
+    _FIT_PERIOD,
     _PLAIN_SWEEPS,
     _AndersonMixer,
     CotangentState,
@@ -223,38 +224,108 @@ class TestSolveStage:
             (RigidBody(), 3, 0.1, False),
             (ZeitlinSphere(N=9), 1, 0.005, False),
             (ZeitlinSphere(N=9), 2, 0.02, False),
+            (ZeitlinSphere(N=9), 1, 0.015, False),
             (ZeitlinSphere(N=9), 1, 0.02, True),
             (TodaExtended(4), 0, 0.05, True),
             (TodaExtended(4), 0, 0.1, True),
         ],
     )
     def test_matches_plain_picard(self, sys, seed, h, mixes):
-        # Plain Picard iteration is the reference.  Up to the sweep that
-        # first feeds the mixer, the solver runs exactly its arithmetic,
-        # so a stage it settles by then is bit-identical; a slower stage
-        # converges to the same stage matrix within the solver
-        # tolerance, in no more sweeps.
+        # Plain Picard iteration is the reference.  Up to the first
+        # sweep that follows a fit, the solver runs exactly its
+        # arithmetic, so a stage it settles by then is bit-identical.  A
+        # slower stage satisfies the stage equation within the solver
+        # tolerance, in no more sweeps, and lands near the reference.
         mu = sys.initial_state(seed)
         tol = 1e-13
         ref, ref_iters = _picard_stage(mu, h, sys, tol)
         st = solve_stage(mu, h, sys, _cfg(solver_tol=tol))
-        assert mixes == (ref_iters > _PLAIN_SWEEPS + 1)
+        assert mixes == (ref_iters > _PLAIN_SWEEPS + _FIT_PERIOD)
         if mixes:
             assert st.iters <= ref_iters
+            a, b = h / 2.0, sys.B(st.mu_stage)
+            eye = np.eye(mu.shape[0])
+            defect = (eye - a * b) @ st.mu_stage @ (eye + a * b) - mu
+            assert np.linalg.norm(defect) <= tol * (1.0 + np.linalg.norm(mu))
+            # Both matrices are tolerance-level solutions, so this gap is
+            # not a guarantee of the solver (Toda at h = 0.1 sits at 0.81
+            # of the bound).
             assert np.linalg.norm(st.mu_stage - ref) <= tol * (1.0 + np.linalg.norm(mu))
         else:
             assert st.iters == ref_iters
             assert np.array_equal(st.mu_stage, ref)
 
-    def test_failed_mixing_step_is_the_plain_update(self):
-        # A singular fit (a repeated pair) and an overflowing one (huge
-        # differences) both fall back to the map value G(x).
+    def test_failed_mixing_step_is_the_plain_update(self, monkeypatch):
+        # A singular fit (repeated pairs) and an overflowing one (huge
+        # differences) both fall back to the map value G(x).  The pairs
+        # before the call under test store differences without fitting;
+        # the call under test is a fitting one and its solve fails.
+        outcomes = []
+        solve = np.linalg.solve
+
+        def spy(*args):
+            try:
+                gamma = solve(*args)
+            except np.linalg.LinAlgError:
+                outcomes.append("singular")
+                raise
+            outcomes.append("finite" if np.isfinite(gamma).all() else "overflow")
+            return gamma
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
         x = np.zeros((2, 2))
-        for first, second in ((np.ones((2, 2)), np.ones((2, 2))), (x, np.full((2, 2), 1e200))):
+        ones = [np.ones((2, 2)) for _ in range(_FIT_PERIOD + 1)]
+        huge = [x] * (_FIT_PERIOD - 1) + [np.full((2, 2), -1e200), np.full((2, 2), 1e200)]
+        for pairs, outcome in ((ones, "singular"), (huge, "overflow")):
             mix = _AndersonMixer()
-            assert mix(x, first) is first
+            outcomes.clear()
             with np.errstate(over="ignore", invalid="ignore"):
-                assert mix(x, second) is second
+                for gx in pairs[:-1]:
+                    assert mix(x, gx) is gx
+                assert outcomes == []
+                assert mix(x, pairs[-1]) is pairs[-1]
+            assert outcomes == [outcome]
+
+    def test_one_least_squares_solve_per_fitting_sweep(self, monkeypatch):
+        # Once mixing engages every sweep but the converged one feeds
+        # the mixer, and every _FIT_PERIOD-th stored difference is
+        # fitted with one solve.  Stages that settle within the plain
+        # sweeps never build a mixer.  The dcay update makes no solve of
+        # its own, so every solve counted here is a fit.
+        solves, built, per_call = [], [], []
+        solve = np.linalg.solve
+        init, call = _AndersonMixer.__init__, _AndersonMixer.__call__
+
+        def spy_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        def spy_init(mixer):
+            built.append(mixer)
+            init(mixer)
+
+        def spy_call(mixer, x, gx):
+            before = len(solves)
+            out = call(mixer, x, gx)
+            per_call.append(len(solves) - before)
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", spy_solve)
+        monkeypatch.setattr(_AndersonMixer, "__init__", spy_init)
+        monkeypatch.setattr(_AndersonMixer, "__call__", spy_call)
+        cfg = _cfg(update_form="dcay")
+        for sys, seed, h in ((RigidBody(), 42, 0.01), (ZeitlinSphere(N=9), 1, 0.005)):
+            st = solve_stage(sys.initial_state(seed), h, sys, cfg)
+            assert st.iters <= _PLAIN_SWEEPS
+        assert built == [] and solves == []
+        sys = TodaExtended(4)
+        st = solve_stage(sys.initial_state(0), 0.1, sys, cfg)
+        assert len(built) == 1
+        # Call c (from 0) stores its c-th difference.
+        assert len(per_call) == st.iters - _PLAIN_SWEEPS
+        fits = [int(c > 0 and c % _FIT_PERIOD == 0) for c in range(len(per_call))]
+        assert per_call == fits
+        assert len(solves) == sum(fits) > 0
 
     def test_equilibrium_is_fixed(self):
         w = np.zeros((3, 3))
@@ -362,6 +433,21 @@ class TestRunTrajectory:
         assert (info.value.step, info.value.stage) == (3, 1)
         assert info.value.reason == "Singular matrix"
         assert str(info.value) == "numerical error at step 3 stage 1: Singular matrix"
+
+    @pytest.mark.parametrize(
+        "tableau, h, n_steps",
+        [("midpoint", 0.22, 300), ("sdirk2", 0.2, 300), ("yoshida4", 0.1, 200)],
+    )
+    def test_toda_converges_at_large_steps(self, tableau, h, n_steps):
+        # Plain Picard iteration needs more than 200 sweeps for the first
+        # midpoint stage here, and 31 and 50 for the first sdirk2 and
+        # yoshida4 stages; the mixed solver settles every stage of these
+        # runs, and the conjugation update keeps the spectrum.
+        sys = TodaExtended(4)
+        mu0 = sys.initial_state(0)
+        traj = run_trajectory(mu0, sys, _cfg(tableau=builtin(tableau)), h, n_steps)
+        assert len(traj) == n_steps + 1
+        assert np.max(np.abs(spectrum(traj[-1][0]) - spectrum(mu0))) < 1e-11
 
 
 class TestCotangentForm:
