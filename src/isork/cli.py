@@ -223,6 +223,16 @@ def _stepper_config(config: RunConfig, tableau=BUILTIN_TABLEAUS["midpoint"]) -> 
     )
 
 
+def _initial_state(system, config: RunConfig):
+    """The seeded initial state at config.scale; a config error when it or its energy is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu0 = system.initial_state(config.seed, config.scale)
+        finite = np.isfinite(mu0).all() and math.isfinite(system.hamiltonian(mu0))
+    if not finite:
+        raise ConfigError(f"scale = {config.scale!r} gives an initial state or energy that is not finite")
+    return mu0
+
+
 def _max_of(values) -> float:
     """Maximum that is NaN when any value is NaN, unlike the builtin max()."""
     return float(np.max(list(values)))
@@ -263,7 +273,7 @@ def cmd_run(config: RunConfig) -> int:
     tableau = _tableau_for(config)
     system = _system_for(config)
     cfg = _stepper_config(config, tableau)
-    mu0 = system.initial_state(config.seed, config.scale)
+    mu0 = _initial_state(system, config)
     records = run_recorded(system, mu0, cfg, config.h, config.steps)
     path = config.out or f"{config.system}-{tableau.name}.csv"
     write_csv(records, path)
@@ -276,7 +286,7 @@ def cmd_convergence(config: RunConfig, h_list, t_final: float, reference_h) -> i
         raise ConfigError(f"need at least 3 step sizes for a slope fit, got {len(h_list)}")
     cfg = _stepper_config(config, _tableau_for(config))
     system = _system_for(config)
-    mu0 = system.initial_state(config.seed, config.scale)
+    mu0 = _initial_state(system, config)
     try:
         report = convergence_study(system, h_list, t_final, reference_h, mu0=mu0, cfg=cfg)
     except np.linalg.LinAlgError:
@@ -309,7 +319,7 @@ def cmd_compare(config: RunConfig, methods) -> int:
     if not methods:
         raise ConfigError("compare needs at least one method")
     system = _system_for(config)
-    mu0 = system.initial_state(config.seed, config.scale)
+    mu0 = _initial_state(system, config)
     prefix = config.out or f"compare-{config.system}"
     if prefix.endswith(".csv"):
         prefix = prefix[: -len(".csv")]

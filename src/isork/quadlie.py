@@ -121,7 +121,7 @@ def special_unitary_structure(n: int) -> QuadraticStructure:
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+    return a.dot(b) - b.dot(a)
 
 
 def frobenius_pairing(a: np.ndarray, b: np.ndarray):
@@ -184,7 +184,7 @@ def dcay(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
 def dcay_inv(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Inverse of dcay at xi applied to eta: (I - xi/2) eta (I + xi/2)."""
     lo, hi = _half_factors(xi)
-    return lo @ eta @ hi
+    return lo.dot(eta).dot(hi)
 
 
 def cayley_conjugate(xi: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -194,8 +194,8 @@ def cayley_conjugate(xi: np.ndarray, x: np.ndarray) -> np.ndarray:
     is similar to x, so its spectrum agrees with x's to solve roundoff.
     """
     lo, hi = _half_factors(xi)
-    a = np.linalg.solve(lo, hi @ x)
-    return _solve_right(a, hi) @ lo
+    a = np.linalg.solve(lo, hi.dot(x))
+    return _solve_right(a, hi).dot(lo)
 
 
 def spectrum(a: np.ndarray, real_tol: float = 1e-9) -> np.ndarray:

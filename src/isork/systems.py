@@ -25,6 +25,7 @@ so one instance can serve any number of concurrent trajectories.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -144,8 +145,8 @@ class RigidBody(IsospectralSystem):
 
     def __init__(self, inertia=(1.0, 2.0, 3.0)):
         self.inertia = tuple(float(x) for x in inertia)
-        if len(self.inertia) != 3 or not all(x > 0 for x in self.inertia):
-            raise ValueError(f"inertia needs three positive moments, got {self.inertia}")
+        if len(self.inertia) != 3 or not all(x > 0 and 1.0 / x < math.inf for x in self.inertia):
+            raise ValueError(f"inertia needs three positive moments with finite inverses, got {self.inertia}")
         self._iinv = np.diag([1.0 / x for x in self.inertia])
         self.context = orthogonal_structure(3)
 
@@ -153,7 +154,7 @@ class RigidBody(IsospectralSystem):
         return _float(0.5 * _trace((self._iinv @ w).mT @ w))
 
     def grad_hamiltonian(self, w: np.ndarray) -> np.ndarray:
-        return (self._iinv @ w + w @ self._iinv) / 2.0
+        return (self._iinv.dot(w) + w.dot(self._iinv)) / 2.0
 
     def casimirs(self, w: np.ndarray) -> list[float]:
         # float_power rounds as float ** 2 does (libm pow); array ** 2 squares.

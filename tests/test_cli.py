@@ -118,6 +118,7 @@ class TestPrecedence:
             ({"scale": float("nan")}, "scale"),
             ({"solver_tol": float("nan")}, "solver_tol"),
             ({"inertia": (1.0, float("nan"), 3.0)}, "inertia"),
+            ({"inertia": (1e-320, 1.0, 1.0)}, "inertia"),
         ],
     )
     def test_validation(self, kw, match):
@@ -239,6 +240,28 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--steps", "2", flag, "nan"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["run", "--inertia", "1e-320,1,1"], "inertia"),
+            (["run", "--scale", "1e200"], "scale"),
+            (["run", "--system", "toda", "--scale", "1e200"], "scale"),
+            (["run", "--system", "zeitlin", "--N", "9", "--scale", "1e200"], "scale"),
+            (["compare", "--scale", "1e200", "--methods", "midpoint"], "scale"),
+            (["convergence", "--scale", "1e200", "--h-list", "0.2,0.1,0.05", "--t-final", "0.2"], "scale"),
+        ],
+        ids=["inertia", "scale", "scale-toda", "scale-zeitlin", "scale-compare", "scale-convergence"],
+    )
+    def test_unsteppable_input_is_config_error(self, argv, field, tmp_path, capsys, monkeypatch):
+        # A subnormal moment has an infinite inverse, and at scale 1e200
+        # the initial energy overflows: no step size can help, so these
+        # are config errors naming the field, reached without a warning.
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--steps", "2"]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_size_of_unselected_system_is_unused(self, capsys):
         assert main(["dump-config", "--n", "2", "--N", "1"]) == 0

@@ -7,6 +7,7 @@ import pytest
 
 from isork.integrator import (
     _FIT_PERIOD,
+    _MIXING_DEPTH,
     _PLAIN_SWEEPS,
     _AndersonMixer,
     CotangentState,
@@ -23,8 +24,12 @@ from isork.integrator import (
     solve_stage,
 )
 from isork.quadlie import (
+    _half_factors,
+    _solve_right,
+    cayley_conjugate,
     commutator,
     dcay,
+    dcay_inv,
     membership_residuals,
     orthogonal_structure,
     random_algebra_element,
@@ -228,6 +233,10 @@ class TestSolveStage:
             (TodaExtended(4), 0, 0.05, True),
             (TodaExtended(4), 0, 0.1, True),
             (ZeitlinSphere(N=9), 1, 0.015, False),
+            # Both settle at exactly _PLAIN_SWEEPS + _FIT_PERIOD sweeps: the
+            # iterates of their last two sweeps come from the mixer unfitted.
+            (TodaExtended(4), 0, 0.005, False),
+            (ZeitlinSphere(N=33), 0, 0.03, False),
         ],
     )
     def test_matches_plain_picard(self, sys, seed, h, mixes):
@@ -663,3 +672,58 @@ def test_one_sweep_loop_call_per_stage(monkeypatch):
     calls.clear()
     _, stages = cotangent_sdirk_step(cotangent_lift(mu), sys, cfg, 0.05)
     assert len(calls) == len(stages) == 3
+
+
+def _operand(rng, n, dtype, order):
+    """A random n x n operand, C-ordered or as the transpose of a C-ordered array (F-ordered)."""
+    x = rng.standard_normal((n, n))
+    if dtype == complex:
+        x = x + 1j * rng.standard_normal((n, n))
+    return x if order == "C" else np.ascontiguousarray(x).T
+
+
+@pytest.mark.parametrize("n, dtype", [(3, float), (4, float), (33, complex)], ids=["real3", "real4", "complex33"])
+@pytest.mark.parametrize("left, right", [("C", "C"), ("C", "F"), ("F", "C"), ("F", "F")])
+class TestProductsMatchMatmul:
+    # The stepping path forms its 2-D products with ndarray.dot, which
+    # reaches the same BLAS gemm as the @ operator at less dispatch cost.
+    # Each case recomputes the library's expression with @, in the same
+    # order, and requires the same bits.
+
+    def test_rigid_body_gradient(self, n, dtype, left, right):
+        rng = np.random.default_rng(n)
+        iinv, w = _operand(rng, n, dtype, left), _operand(rng, n, dtype, right)
+        body = RigidBody()
+        body._iinv = iinv  # the product pattern of any size; RigidBody itself is 3 x 3
+        assert np.array_equal(body.grad_hamiltonian(w), (iinv @ w + w @ iinv) / 2.0)
+
+    def test_cayley_conjugate_and_dcay_inv(self, n, dtype, left, right):
+        rng = np.random.default_rng(n)
+        xi, x = 0.1 * _operand(rng, n, dtype, left), _operand(rng, n, dtype, right)
+        lo, hi = _half_factors(xi)
+        ref = _solve_right(np.linalg.solve(lo, hi @ x), hi) @ lo
+        assert np.array_equal(cayley_conjugate(xi, x), ref)
+        assert np.array_equal(dcay_inv(xi, x), lo @ x @ hi)
+
+    def test_commutator_and_momentum_map(self, n, dtype, left, right):
+        rng = np.random.default_rng(n)
+        a, b = _operand(rng, n, dtype, left), _operand(rng, n, dtype, right)
+        assert np.array_equal(commutator(a, b), a @ b - b @ a)
+        assert np.array_equal(momentum_map(CotangentState(a, b)), a.conj().T @ b)
+
+    def test_mixer_gram_and_update(self, n, dtype, left, right):
+        # Every fitting call, with the ring buffer filling and wrapping.
+        rng = np.random.default_rng(n)
+        mix = _AndersonMixer()
+        mix(_operand(rng, n, dtype, left), _operand(rng, n, dtype, right))
+        for stored in range(1, 2 * _MIXING_DEPTH + 1):
+            gx = _operand(rng, n, dtype, right)
+            out = mix(_operand(rng, n, dtype, left), gx)
+            if stored % _FIT_PERIOD:
+                continue
+            m = min(stored, _MIXING_DEPTH)
+            rows = mix._f[: m + 1]
+            gram = rows.conj() @ rows.T
+            gamma = np.linalg.solve(gram[1:, 1:], gram[1:, 0])
+            assert out is not gx
+            assert np.array_equal(out, (gx.ravel() - gamma @ mix._dg[:m]).reshape(gx.shape))

@@ -83,6 +83,8 @@ class TestRigidBody:
     def test_inertia_validation(self):
         with pytest.raises(ValueError):
             RigidBody((1.0, -2.0, 3.0))
+        with pytest.raises(ValueError, match="inertia"):
+            RigidBody((1e-320, 1.0, 1.0))  # positive, but 1/1e-320 overflows
 
 
 class TestToda:
