@@ -67,6 +67,8 @@ __all__ = [
 
 _VARIANT_SIGNS = {"left": 1.0, "right": -1.0}
 _UPDATE_FORMS = ("conjugation", "dcay")
+# No stage can hold its defect below roundoff, so a smaller solver_tol is a config error.
+_TOL_FLOOR = float(np.finfo(float).eps)
 
 
 def _where(step: int | None, stage: int | None) -> str:
@@ -128,8 +130,8 @@ class StepperConfig:
             raise ValueError(f"variant must be one of {sorted(_VARIANT_SIGNS)}, got {self.variant!r}")
         if self.update_form not in _UPDATE_FORMS:
             raise ValueError(f"update_form must be one of {_UPDATE_FORMS}, got {self.update_form!r}")
-        if not 0 < self.solver_tol < math.inf:
-            raise ValueError(f"solver_tol must be positive and finite, got {self.solver_tol}")
+        if not _TOL_FLOOR <= self.solver_tol < math.inf:
+            raise ValueError(f"solver_tol must be finite and at least {_TOL_FLOOR!r}, got {self.solver_tol}")
         if self.solver_max_iters < 1:
             raise ValueError(f"solver_max_iters must be at least 1, got {self.solver_max_iters}")
 

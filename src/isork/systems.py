@@ -422,24 +422,18 @@ class ZeitlinSphere(IsospectralSystem):
         self.n = self.N = N
         self.context = special_unitary_structure(N)
         self.forward_laplacian = bool(forward_laplacian)
-        if not forward_laplacian:
+        if forward_laplacian:
+            self._operator = zeitlin_laplacian
+        else:
             _laplacian_pinv(N)  # precompute; instances stay immutable after this
+            self._operator = _apply_laplacian_pinv
         self._scale = N ** 1.5
 
     def _stream(self, w: np.ndarray) -> np.ndarray:
-        if self.forward_laplacian:
-            return self._scale * zeitlin_laplacian(w)
-        # Implicit stage iterates wander O(h^2) off the traceless slice
-        # inside u(N); that direction is the Laplacian kernel and both
-        # update forms return the half points to su(N) exactly, so the
-        # stream is computed from the traceless component.
-        trace = _trace(w) / self.N
-        # A stack shifts its traceless matrices too, by a zero trace: that can
-        # flip only the sign of a diagonal zero, which no product below carries.
-        if w.ndim > 2 or trace != 0.0:
-            w = w.copy()
-            w.reshape(*w.shape[:-2], -1)[..., :: self.N + 1] -= trace[..., None] if w.ndim > 2 else trace
-        return self._scale * _apply_laplacian_pinv(w)
+        # Implicit stage iterates drift O(h^2) off su(N) along the identity, the
+        # Laplacian's kernel; the pseudoinverse's k = 0 block annihilates it as
+        # well, so that trace drift never reaches the stream.
+        return self._scale * self._operator(w)
 
     def hamiltonian(self, w: np.ndarray) -> float:
         return _float(0.5 * np.real(_trace(self._stream(w).conj().mT @ w)))

@@ -57,6 +57,19 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=r"bad.cfg:1"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize(
+        "line, match",
+        [("inertia = 1.0, two, 3.0", "expected comma-separated numbers"), ("forward_laplacian = maybe", "expected a boolean")],
+        ids=["list", "boolean"],
+    )
+    def test_bad_list_or_boolean_reports_location(self, line, match, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"system = zeitlin\n{line}\n")
+        with pytest.raises(ConfigError, match=rf"bad.cfg:2: {match}"):
+            parse_config_file(path)
+        assert main(["dump-config", "--config", str(path)]) == 2
+        assert f"bad.cfg:2: {match}" in capsys.readouterr().err
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("just some words\n")
@@ -119,6 +132,7 @@ class TestPrecedence:
             ({"solver_tol": float("nan")}, "solver_tol"),
             ({"inertia": (1.0, float("nan"), 3.0)}, "inertia"),
             ({"inertia": (1e-320, 1.0, 1.0)}, "inertia"),
+            ({"solver_tol": 1e-320}, "solver_tol"),
         ],
     )
     def test_validation(self, kw, match):
@@ -251,13 +265,15 @@ class TestExitCodes:
             (["run", "--system", "zeitlin", "--N", "9", "--scale", "1e200"], "scale"),
             (["compare", "--scale", "1e200", "--methods", "midpoint"], "scale"),
             (["convergence", "--scale", "1e200", "--h-list", "0.2,0.1,0.05", "--t-final", "0.2"], "scale"),
+            (["run", "--solver-tol", "1e-320"], "solver_tol"),
         ],
-        ids=["inertia", "scale", "scale-toda", "scale-zeitlin", "scale-compare", "scale-convergence"],
+        ids=["inertia", "scale", "scale-toda", "scale-zeitlin", "scale-compare", "scale-convergence", "solver-tol"],
     )
     def test_unsteppable_input_is_config_error(self, argv, field, tmp_path, capsys, monkeypatch):
-        # A subnormal moment has an infinite inverse, and at scale 1e200
-        # the initial energy overflows: no step size can help, so these
-        # are config errors naming the field, reached without a warning.
+        # A subnormal moment has an infinite inverse, at scale 1e200 the
+        # initial energy overflows, and no stage meets a tolerance below
+        # roundoff: no step size can help, so these are config errors
+        # naming the field, reached without a warning.
         monkeypatch.chdir(tmp_path)
         assert main([*argv, "--steps", "2"]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
@@ -444,6 +460,20 @@ class TestCompareCommand:
         )
         assert code == 2
         assert "custom_b" in capsys.readouterr().err
+
+    def test_custom_without_weights_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "--h", "0.05", "--steps", "4", "--methods", "custom"]) == 2
+        assert "config error: compare method custom requires custom_b weights" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_csv_suffix_is_stripped_from_prefix(self, tmp_path, capsys):
+        code = main(
+            ["compare", "--h", "0.05", "--steps", "2", "--methods", "midpoint,gawlik",
+             "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x-gawlik.csv", "x-midpoint.csv"]
 
     def test_empty_methods_is_config_error(self, tmp_path):
         code = main(

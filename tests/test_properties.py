@@ -252,7 +252,7 @@ def test_stacked_measurements_equal_each_matrix(case):
     # The Zeitlin trace modulus must be hypot, as abs(complex) is:
     # np.abs of a complex trace differs in the last bit.  The stream
     # matrices behind the Zeitlin energy must match byte for byte, zero
-    # signs included, although a stack also shifts its traceless matrices.
+    # signs included.
     system, stack = case
     energy = system.hamiltonian(stack)
     cas = system.casimirs(stack)
