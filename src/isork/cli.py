@@ -3,7 +3,9 @@
 A thin shell over the library: every subcommand builds a RunConfig
 from defaults, an optional flat key = value config file, command-line
 flags, and the ISORK_SEED environment variable (strongest, in that
-order), then drives the recorded runners and writes CSV.
+order).  _validate checks it and builds the system, tableau and stepper
+config it names, once; the subcommand drives the recorded runners on
+those and writes CSV.
 
 Config file grammar: one `key = value` per line, keys named like the
 RunConfig fields, `#` comments and blank lines ignored, list values
@@ -29,7 +31,7 @@ import numpy as np
 from .diagnostics import convergence_study, run_recorded, write_csv
 from .integrator import _UPDATE_FORMS, _VARIANT_SIGNS, NonConvergenceError, StageLinAlgError, StepperConfig
 from .systems import RigidBody, TodaExtended, ZeitlinSphere
-from .tableau import BUILTIN_TABLEAUS, builtin, parse_custom
+from .tableau import BUILTIN_TABLEAUS, SdirkTableau, builtin
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -153,7 +155,7 @@ def dump_config(config: RunConfig) -> str:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, flags, and ISORK_SEED; validate."""
+    """Merge defaults, config file, flags, and ISORK_SEED; _validate checks the result."""
     values = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
@@ -167,14 +169,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             values["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"ISORK_SEED must be an integer, got {env_seed!r}") from None
-    config = RunConfig(**values)
-    _validate(config)
-    return config
+    return RunConfig(**values)
 
 
-def _validate(config: RunConfig) -> None:
-    if config.system not in _SYSTEMS:
-        raise ConfigError(f"system must be one of {_SYSTEMS}, got {config.system!r}")
+def _validate(config: RunConfig):
+    """Build what config names, (system, tableau, stepper config); ConfigError on a bad value."""
     if config.method not in _METHODS:
         raise ConfigError(f"method must be one of {_METHODS}, got {config.method!r}")
     if config.method == "custom" and not config.custom_b:
@@ -188,18 +187,23 @@ def _validate(config: RunConfig) -> None:
     # The size rules of the selected system live in its constructor;
     # the size fields of the other systems are unused and not checked.
     try:
-        _system_for(config)
-        _stepper_config(config, _tableau_for(config))
+        system = _system_for(config)
+        tableau = _tableau_for(config)
+        cfg = StepperConfig(
+            variant=config.variant, update_form=config.update_form, solver_tol=config.solver_tol,
+            solver_max_iters=config.solver_max_iters, tableau=tableau,
+        )
     except MemoryError:
         raise ConfigError(f"{config.system} system of this size does not fit in memory") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return system, tableau, cfg
 
 
 def _tableau_for(config: RunConfig):
     if config.method == "custom":
         try:
-            return parse_custom(",".join(repr(float(w)) for w in config.custom_b))
+            return SdirkTableau(config.custom_b, "custom")
         except ValueError as exc:
             raise ConfigError(f"custom_b: {exc}") from None
     return builtin(config.method)
@@ -210,17 +214,9 @@ def _system_for(config: RunConfig):
         return RigidBody(inertia=config.inertia)
     if config.system == "toda":
         return TodaExtended(n=config.n)
-    return ZeitlinSphere(N=config.N, forward_laplacian=config.forward_laplacian)
-
-
-def _stepper_config(config: RunConfig, tableau=BUILTIN_TABLEAUS["midpoint"]) -> StepperConfig:
-    return StepperConfig(
-        variant=config.variant,
-        update_form=config.update_form,
-        solver_tol=config.solver_tol,
-        solver_max_iters=config.solver_max_iters,
-        tableau=tableau,
-    )
+    if config.system == "zeitlin":
+        return ZeitlinSphere(N=config.N, forward_laplacian=config.forward_laplacian)
+    raise ValueError(f"system must be one of {_SYSTEMS}, got {config.system!r}")
 
 
 def _initial_state(system, config: RunConfig):
@@ -269,10 +265,7 @@ def _print_run_summary(config: RunConfig, tableau, records, path: str) -> None:
     print(f"wrote {path}")
 
 
-def cmd_run(config: RunConfig) -> int:
-    tableau = _tableau_for(config)
-    system = _system_for(config)
-    cfg = _stepper_config(config, tableau)
+def cmd_run(config: RunConfig, system, tableau, cfg: StepperConfig) -> int:
     mu0 = _initial_state(system, config)
     records = run_recorded(system, mu0, cfg, config.h, config.steps)
     path = config.out or f"{config.system}-{tableau.name}.csv"
@@ -281,11 +274,9 @@ def cmd_run(config: RunConfig) -> int:
     return 0
 
 
-def cmd_convergence(config: RunConfig, h_list, t_final: float, reference_h) -> int:
+def cmd_convergence(config: RunConfig, system, cfg: StepperConfig, h_list, t_final: float, reference_h) -> int:
     if len(h_list) < 3:
         raise ConfigError(f"need at least 3 step sizes for a slope fit, got {len(h_list)}")
-    cfg = _stepper_config(config, _tableau_for(config))
-    system = _system_for(config)
     mu0 = _initial_state(system, config)
     try:
         report = convergence_study(system, h_list, t_final, reference_h, mu0=mu0, cfg=cfg)
@@ -315,19 +306,17 @@ def _compare_runner(label: str, config: RunConfig):
     raise ConfigError(f"unknown compare method {label!r}; known: {known}")
 
 
-def cmd_compare(config: RunConfig, methods) -> int:
+def cmd_compare(config: RunConfig, system, cfg: StepperConfig, methods) -> int:
     if not methods:
         raise ConfigError("compare needs at least one method")
-    system = _system_for(config)
+    runners = [(label, *_compare_runner(label, config)) for label in methods]
     mu0 = _initial_state(system, config)
     prefix = config.out or f"compare-{config.system}"
     if prefix.endswith(".csv"):
         prefix = prefix[: -len(".csv")]
     results = []
-    for label in methods:
-        kind, tableau = _compare_runner(label, config)
-        cfg = _stepper_config(config, tableau)
-        records = run_recorded(system, mu0, cfg, config.h, config.steps, method=kind)
+    for label, kind, tableau in runners:
+        records = run_recorded(system, mu0, replace(cfg, tableau=tableau), config.h, config.steps, method=kind)
         path = f"{prefix}-{label}.csv"
         write_csv(records, path)
         results.append((label, _max_of(r.spectral_drift for r in records), path, _first_non_finite(records)))
@@ -406,12 +395,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = build_config(args)
+        system, tableau, cfg = _validate(config)
         if args.command == "run":
-            return cmd_run(config)
+            return cmd_run(config, system, tableau, cfg)
         if args.command == "convergence":
-            return cmd_convergence(config, args.h_list, args.t_final, args.reference_h)
+            return cmd_convergence(config, system, cfg, args.h_list, args.t_final, args.reference_h)
         if args.command == "compare":
-            return cmd_compare(config, args.methods)
+            return cmd_compare(config, system, cfg, args.methods)
         return cmd_dump_config(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

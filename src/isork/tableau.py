@@ -9,6 +9,11 @@ composition schemes use.  The steppers read nothing else: a macro step
 of size h takes the substeps h * b_i in order, computed on the fly
 from StepperConfig.tableau.
 
+SdirkTableau checks its weights where it is built, for every caller,
+and raises ValueError unless they are non-empty, nonzero (a zero-length
+substage is degenerate) and sum to 1 within 1e-10, which also rejects
+NaN and infinite weights.
+
 Builtin weight vectors:
 
     midpoint  (1,)                                  order 2
@@ -41,6 +46,15 @@ class SdirkTableau:
 
     b: tuple[float, ...]
     name: str = "custom"
+
+    def __post_init__(self):
+        if not self.b:
+            raise ValueError("empty weight list")
+        if 0.0 in self.b:
+            raise ValueError("zero weights are not allowed")
+        defect = abs(sum(self.b) - 1.0)
+        if not defect <= 1e-10:  # NaN and infinite weights fail here too
+            raise ValueError(f"weights must sum to 1 (defect {defect:.3e})")
 
     @property
     def s(self) -> int:
@@ -75,23 +89,11 @@ def builtin(name: str) -> SdirkTableau:
 
 
 def parse_custom(text: str) -> SdirkTableau:
-    """Parse a comma-separated weight list into a tableau.
-
-    Rejects empty lists, exact zero weights (a zero-length substage is
-    degenerate), and weight sums off 1 by more than 1e-10.
-    """
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise ValueError("empty weight list")
+    """Parse a comma-separated weight list into a tableau; SdirkTableau checks the weights."""
     try:
-        b = tuple(float(piece) for piece in items)
+        b = tuple(float(piece) for piece in map(str.strip, text.split(",")) if piece)
     except ValueError as exc:
         raise ValueError(f"unparsable weight in {text!r}: {exc}") from None
-    if any(w == 0.0 for w in b):
-        raise ValueError("zero weights are not allowed")
-    defect = abs(sum(b) - 1.0)
-    if defect > 1e-10:
-        raise ValueError(f"weights must sum to 1 (defect {defect:.3e})")
     return SdirkTableau(b, "custom")
 
 

@@ -279,6 +279,33 @@ class TestExitCodes:
         assert f"config error: {field}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--method", "custom", "--custom-b", "nan"],
+            ["compare", "--methods", "custom", "--custom-b", "inf,-inf"],
+        ],
+        ids=["run-nan", "compare-inf"],
+    )
+    def test_non_finite_custom_weights_are_config_error(self, argv, tmp_path, capsys, monkeypatch):
+        # SdirkTableau rejects them where it is built, before any stage
+        # solve could report a NaN residual as a solver failure.
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--steps", "2"]) == 2
+        assert "config error: custom_b" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", ["1e300", "1e150"])
+    def test_gawlik_overflow_is_solver_error_without_warning(self, h, tmp_path, capsys, monkeypatch):
+        # The explicit side overflows at 1e300 and the tolerance scale at
+        # 1e150; the stage solve reports the non-finite residual alone.
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "--methods", "gawlik", "--h", h, "--steps", "2"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver error: ")
+
     def test_size_of_unselected_system_is_unused(self, capsys):
         assert main(["dump-config", "--n", "2", "--N", "1"]) == 0
         assert main(["dump-config", "--system", "toda", "--n", "2"]) == 2
@@ -347,6 +374,43 @@ class TestExitCodes:
         # stages of a 1,000-step compare run need at most 35.
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 0
+
+
+class TestBuildOnce:
+    """_validate builds the system, tableau and stepper config; the subcommands reuse them."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--steps", "2"],
+            ["convergence", "--h-list", "0.2,0.1,0.05", "--t-final", "0.2"],
+            ["compare", "--steps", "2", "--methods", "midpoint,custom,gawlik", "--custom-b", "0.5,0.5"],
+        ],
+        ids=["run", "convergence", "compare"],
+    )
+    def test_system_is_built_once(self, argv, tmp_path, capsys, monkeypatch):
+        from isork import cli
+
+        calls = []
+        real = cli._system_for
+
+        def counted(config):
+            calls.append(config)
+            return real(config)
+
+        monkeypatch.setattr(cli, "_system_for", counted)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert len(calls) == 1
+
+    def test_validate_returns_what_it_builds(self):
+        from isork.cli import _validate
+        from isork.systems import ZeitlinSphere
+
+        system, tableau, cfg = _validate(RunConfig(system="zeitlin", N=5, method="custom", custom_b=(0.25, 0.75)))
+        assert isinstance(system, ZeitlinSphere) and system.N == 5
+        assert tableau.b == (0.25, 0.75) and tableau.name == "custom"
+        assert cfg.tableau is tableau
 
 
 class TestConvergenceCommand:
@@ -452,6 +516,13 @@ class TestCompareCommand:
              "--out", str(tmp_path / "u")]
         )
         assert code == 2
+
+    def test_bad_label_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # Every label is resolved before the first method runs.
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "--h", "0.05", "--steps", "4", "--methods", "midpoint,leapfrog"]) == 2
+        assert "unknown compare method 'leapfrog'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_bad_custom_weights_is_config_error(self, tmp_path, capsys):
         code = main(

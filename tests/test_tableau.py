@@ -53,6 +53,36 @@ def test_order_conditions():
         assert first < 1e-12 and third < 1e-12
 
 
+class TestTableauChecksWeights:
+    """The weight rules hold for every SdirkTableau, not only for parsed text."""
+
+    @pytest.mark.parametrize(
+        "b, match",
+        [
+            ((), "empty"),
+            ((0.0, 1.0), "zero"),
+            ((0.5, 0.6), "sum"),
+            ((float("nan"),), "sum"),
+            ((float("inf"), float("-inf")), "sum"),
+        ],
+        ids=["empty", "zero", "bad-sum", "nan", "inf"],
+    )
+    def test_rejects_bad_weights(self, b, match):
+        with pytest.raises(ValueError, match=match):
+            SdirkTableau(b)
+
+    def test_builtins_unchanged(self):
+        w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+        v = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+        assert {name: tab.b for name, tab in BUILTIN_TABLEAUS.items()} == {
+            "midpoint": (1.0,),
+            "sdirk2": (0.5, 0.5),
+            "yoshida4": (w1, 1.0 - 2.0 * w1, w1),
+            "suzuki4": (v, v, 1.0 - 4.0 * v, v, v),
+        }
+        assert all(tab.name == name for name, tab in BUILTIN_TABLEAUS.items())
+
+
 class TestParseCustom:
     def test_accepts_weights(self):
         tab = parse_custom("0.5, 0.5")
@@ -64,7 +94,7 @@ class TestParseCustom:
         tab = parse_custom(",".join(repr(w) for w in b))
         assert tab.b == b
 
-    @pytest.mark.parametrize("text", ["", " , ", "0.5, oops", "1.0, 0.0"])
+    @pytest.mark.parametrize("text", ["", " , ", "0.5, oops", "1.0, 0.0", "nan", "inf, -inf"])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_custom(text)
