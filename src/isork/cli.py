@@ -96,7 +96,10 @@ _COERCERS = {
 _FLAG_OPTIONS = {
     "system": {"choices": _SYSTEMS},
     "method": {"choices": _METHODS},
-    "custom_b": {"metavar": "B1,B2,...", "help": "weights for method=custom"},
+    "custom_b": {
+        "metavar": "B1,B2,...",
+        "help": "weights for method=custom; join a negative first weight with '=': --custom-b=-0.5,1.5",
+    },
     "h": {"help": "macro step size"},
     "variant": {"choices": tuple(_VARIANT_SIGNS)},
     "update_form": {"choices": _UPDATE_FORMS},

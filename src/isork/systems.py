@@ -11,9 +11,12 @@ pairing <xi, alpha> = trace(xi^dagger alpha):
 * ZeitlinSphere: the spin-truncated vorticity equation on the sphere,
   skew-Hermitian traceless W with a stream matrix obtained by inverting
   the double-commutator Laplacian of irreducible spin generators, which
-  is tridiagonal on each diagonal W[i, i+k]; its pseudoinverse is one
-  stack of blocks over the N wrapped diagonals W[i, (i+k) % N], applied
-  in one batched matmul.
+  is tridiagonal on each diagonal W[i, i+k].  Its pseudoinverse is a
+  half stack of N//2 + 1 blocks, one per wrapped diagonal
+  W[i, (i+k) % N] with k <= N//2, built by a single batched LU inverse
+  (the kernel of the k = 0 block is shifted out by a rank-one term)
+  and applied to the wrapped diagonals of W and of W^T together in one
+  batched matmul.
 
 Every analytic gradient here is validated against central finite
 differences in the test suite; B maps are pure functions evaluated
@@ -276,6 +279,13 @@ class TodaExtended(IsospectralSystem):
 # --- Zeitlin sphere ------------------------------------------------------
 
 
+def _sphere_size(N: int) -> int:
+    """The Zeitlin size rule, shared by the spin generators and the system."""
+    if N < 2:
+        raise ValueError(f"N must be at least 2, got {N}")
+    return N
+
+
 @functools.lru_cache(maxsize=None)
 def zeitlin_spin_generators(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Skew-Hermitian generators of the irreducible spin-(N-1)/2 representation.
@@ -286,9 +296,7 @@ def zeitlin_spin_generators(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     [S1, S2] = S3, [S2, S3] = S1, [S3, S1] = S2.  Each S_k is traceless
     and skew-Hermitian, and sum_k S_k^2 = -s(s+1) I.
     """
-    if N < 2:
-        raise ValueError(f"N must be at least 2, got {N}")
-    s = (N - 1) / 2.0
+    s = (_sphere_size(N) - 1) / 2.0
     m = -s + np.arange(N)
     j3 = np.diag(m).astype(complex)
     jplus = np.diag(np.sqrt(s * (s + 1) - m[:-1] * (m[:-1] + 1)), -1).astype(complex)
@@ -331,36 +339,55 @@ def zeitlin_laplacian(w: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _laplacian_pinv(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pseudoinverse of the Laplacian over the wrapped diagonals of w.
+    """Pseudoinverse of the Laplacian over the wrapped diagonals of w and w^T.
 
-    Returns (stack, idx, inv), inv undoing idx: x.ravel()[inv] puts the
-    rows x back in place.  Row k of w.ravel()[idx] is the wrapped
-    diagonal w[i, (i+k) % N], i = 0..N-1: the diagonal w[i, i+k] of
-    length N-k followed by the diagonal w[i, i+k-N] of length k.  The
-    Laplacian applies a symmetric tridiagonal matrix to each diagonal
-    and never couples the two parts (at the seam the coupling is
-    c[N-k-1, N-1] = 0), and d and c are symmetric, so diagonals j and
-    -j share one pseudoinverse P_j.  stack[k] is the real N x N block
-    blockdiag(P_k, P_{N-k}); N eigendecompositions build all of it.
+    Returns (stack, gather, scatter).  Wrapped diagonal k of w is
+    w[i, (i+k) % N], i = 0..N-1: the diagonal w[i, i+k] of length N-k
+    followed by the diagonal w[i, i+k-N] of length k.  The Laplacian
+    applies a symmetric tridiagonal T_j to diagonal j and never couples
+    the two parts (at the seam the coupling is c[N-k-1, N-1] = 0), so
+    on wrapped diagonal k it is blockdiag(T_k, T_{N-k}); d and c are
+    symmetric, so diagonals j and -j share T_j.  Wrapped diagonal k of
+    w^T (w's wrapped diagonal N-k, rolled by k) holds diagonals -k and
+    N-k and meets the same two blocks, so k = 0..N//2 covers all of w:
+    stack[k] is the real N x N inverse of blockdiag(T_k, T_{N-k}), all
+    N//2 + 1 of them from one batched LU inverse.
 
-    Eigenvalues at or below 1 are the kernel (the identity, on k = 0),
-    safe because the smallest nonzero eigenvalue is l(l+1) = 2.
+    T_0 is singular: it is symmetric, its kernel is spanned by the ones
+    vector e (the identity matrix's diagonal) and every other eigenvalue
+    is l(l+1) >= 2.  Adding J/N = e e^T / N gives e the eigenvalue 1
+    and leaves e's complement alone, so pinv(T_0) = inv(T_0 + J/N) - J/N
+    exactly, with no eigenvalue threshold.
+
+    w.ravel()[gather] is the (N//2 + 1, N, 2) array of wrapped diagonal
+    k of w (column 0) and of w^T (column 1); x.ravel()[scatter] puts
+    such an array back as N x N.
     """
     d, c = _laplacian_coefficients(N)
-    stack = np.zeros((N, N, N))
-    for j in range(N):
-        off = -np.diagonal(c, j)[:-1]
-        evals, vecs = np.linalg.eigh(np.diag(np.diagonal(d, j)) + np.diag(off, 1) + np.diag(off, -1))
-        inv = np.where(evals > 1.0, 1.0 / np.where(evals > 1.0, evals, 1.0), 0.0)
-        stack[j, : N - j, : N - j] = (vecs * inv) @ vecs.T
-        if j:
-            stack[N - j, j:, j:] = stack[j, : N - j, : N - j]
     rows = np.arange(N)
-    idx = rows * N + (rows + rows[:, None]) % N
-    inv = np.argsort(idx, axis=None).reshape(N, N)
-    for arr in (stack, idx, inv):
+    cols = (rows + np.arange(N // 2 + 1)[:, None]) % N
+    stack = np.zeros((N // 2 + 1, N, N))
+    stack[:, rows, rows] = d[rows, cols]
+    off = -c[rows[:-1], cols[:, :-1]]
+    stack[:, rows[:-1], rows[1:]] = off
+    stack[:, rows[1:], rows[:-1]] = off
+    stack[0] += 1.0 / N
+    stack = np.linalg.inv(stack)
+    stack[0] -= 1.0 / N
+    gather = np.stack([rows * N + cols, cols * N + rows], axis=-1)
+    # Entry (r, c) lies on diagonal t = c - r: at position r of w's
+    # wrapped diagonal t % N (a first half for 0 <= t <= N//2, a second
+    # for t < -N//2), otherwise at position c of w^T's wrapped diagonal
+    # -t % N (a first half for -N//2 <= t < 0, a second for t > N//2),
+    # so that t and -t always meet the same inverse block.
+    t = rows - rows[:, None]
+    from_w = (t >= 0) == (abs(t) <= N // 2)
+    k = np.where(from_w, t, -t) % N
+    position = np.where(from_w, rows[:, None], rows)
+    scatter = (k * N + position) * 2 + ~from_w
+    for arr in (stack, gather, scatter):
         arr.setflags(write=False)
-    return stack, idx, inv
+    return stack, gather, scatter
 
 
 def zeitlin_laplacian_inv(w: np.ndarray) -> np.ndarray:
@@ -377,14 +404,19 @@ def zeitlin_laplacian_inv(w: np.ndarray) -> np.ndarray:
 
 
 def _apply_laplacian_pinv(w: np.ndarray) -> np.ndarray:
-    """The pseudoinverse applied to w, or to each matrix of a stack, without the trace check."""
+    """The pseudoinverse applied to w, or to each matrix of a stack, without the trace check.
+
+    Pairs wrapped diagonal k of w with wrapped diagonal k of w^T, which
+    meet the same block: one batched product of N//2 + 1 blocks against
+    (N, 4) real columns, scattered back in one gather.
+    """
     N, lead = w.shape[-1], w.shape[:-2]
-    stack, idx, inv = _laplacian_pinv(N)
-    diagonals = np.ascontiguousarray(_take_last(w.reshape(*lead, N * N), idx), dtype=complex)
-    # Real blocks act on real and imaginary parts alike: view the
-    # complex entries as (re, im) column pairs.
-    solved = stack @ diagonals.view(np.float64).reshape(*lead, N, N, 2)
-    return _take_last(solved.view(complex).reshape(*lead, N * N), inv)
+    stack, gather, scatter = _laplacian_pinv(N)
+    diagonals = np.ascontiguousarray(_take_last(w.reshape(*lead, N * N), gather), dtype=complex)
+    # Real blocks act on real and imaginary parts alike: view the two
+    # complex columns as four real ones (re, im of w; re, im of w^T).
+    solved = stack @ diagonals.view(np.float64).reshape(*lead, N // 2 + 1, N, 4)
+    return _take_last(solved.view(complex).reshape(*lead, -1), scatter)
 
 
 def _take_last(x: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -417,9 +449,7 @@ class ZeitlinSphere(IsospectralSystem):
     casimir_orders = (2, 3, 4, 5)
 
     def __init__(self, N: int = 17, forward_laplacian: bool = False):
-        N = int(N)
-        self.spin_generators = zeitlin_spin_generators(N)  # checks the size
-        self.n = self.N = N
+        self.n = self.N = N = _sphere_size(int(N))
         self.context = special_unitary_structure(N)
         self.forward_laplacian = bool(forward_laplacian)
         if forward_laplacian:
@@ -429,6 +459,10 @@ class ZeitlinSphere(IsospectralSystem):
             self._operator = _apply_laplacian_pinv
         self._scale = N ** 1.5
 
+    @property
+    def spin_generators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return zeitlin_spin_generators(self.N)
+
     def _stream(self, w: np.ndarray) -> np.ndarray:
         # Implicit stage iterates drift O(h^2) off su(N) along the identity, the
         # Laplacian's kernel; the pseudoinverse's k = 0 block annihilates it as
@@ -436,7 +470,11 @@ class ZeitlinSphere(IsospectralSystem):
         return self._scale * self._operator(w)
 
     def hamiltonian(self, w: np.ndarray) -> float:
-        return _float(0.5 * np.real(_trace(self._stream(w).conj().mT @ w)))
+        # trace(stream^H w) as one dot product per matrix; contiguous rows
+        # keep a stack's bits equal to its matrices' (strides pick the BLAS kernel).
+        lead = w.shape[:-2]
+        stream, w = np.ascontiguousarray(self._stream(w)), np.ascontiguousarray(w)
+        return _float(0.5 * np.real(np.vecdot(stream.reshape(*lead, -1), w.reshape(*lead, -1))))
 
     def grad_hamiltonian(self, w: np.ndarray) -> np.ndarray:
         return self._stream(w)

@@ -296,6 +296,17 @@ class TestExitCodes:
         assert "config error: custom_b" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_negative_leading_custom_weight_needs_equals_form(self, tmp_path, capsys, monkeypatch):
+        # argparse reads a value starting with '-' as an option unless it is
+        # joined to its flag by '='.
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--method", "custom", "--custom-b=-0.5,1.5", "--steps", "2"]) == 0
+        capsys.readouterr()
+        assert main(["run", "--method", "custom", "--custom-b", "-0.5,1.5", "--steps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and "--custom-b: expected one argument" in err
+        assert "Traceback" not in err
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("h", ["1e300", "1e150"])
     def test_gawlik_overflow_is_solver_error_without_warning(self, h, tmp_path, capsys, monkeypatch):

@@ -166,7 +166,7 @@ def _reference_measurements(system, w):
         energy = float(-np.trace(w.T @ toda_extended_B(w)) + 2.0 * np.trace(w @ w))
         return energy, _reference_casimirs(w, system.casimir_orders), float(np.linalg.norm(w - w.T))
     return (
-        0.5 * float(np.real(np.trace(system._stream(w).conj().T @ w))),
+        0.5 * float(np.real(np.vdot(system._stream(w), w))),
         _reference_casimirs(w, system.casimir_orders),
         float(np.linalg.norm(w + w.conj().T)) + abs(complex(np.trace(w))),
     )

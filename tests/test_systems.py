@@ -38,19 +38,40 @@ def _scatter_toda_B(w):
     return out
 
 
+def _thomas_longdouble(diag, off, rhs):
+    """Solve the symmetric tridiagonal system (diag, off) x = rhs by the
+    Thomas algorithm in np.longdouble, independent of LAPACK."""
+    a = np.array(diag, dtype=np.longdouble)
+    e = np.array(off, dtype=np.longdouble)
+    x = np.array(rhs, dtype=np.clongdouble)
+    for i in range(1, a.size):
+        m = e[i - 1] / a[i - 1]
+        a[i] -= m * e[i - 1]
+        x[i] -= m * x[i - 1]
+    x[-1] /= a[-1]
+    for i in range(a.size - 2, -1, -1):
+        x[i] = (x[i] - e[i] * x[i + 1]) / a[i]
+    return x
+
+
 def _per_diagonal_laplacian_inv(w):
-    """Reference for zeitlin_laplacian_inv: one pseudoinverse block per
-    diagonal w[i, i+k], k = 1-N..N-1, each applied and written back with
-    a strided store."""
+    """Reference for zeitlin_laplacian_inv: each diagonal w[i, i+k],
+    k = 1-N..N-1, solved through its own tridiagonal block in extended
+    precision and written back with a strided store.  The k = 0 block's
+    kernel is the ones vector: its last entry is fixed at 0, the rest
+    solved, and the mean subtracted."""
     N = w.shape[0]
     d, c = _laplacian_coefficients(N)
     flat = np.empty(N * N, dtype=complex)
     for k in range(1 - N, N):
-        off = -np.diagonal(c, k)[:-1]
-        evals, vecs = np.linalg.eigh(np.diag(np.diagonal(d, k)) + np.diag(off, 1) + np.diag(off, -1))
-        inv = np.where(evals > 1.0, 1.0 / np.where(evals > 1.0, evals, 1.0), 0.0)
+        diag, off, rhs = np.diagonal(d, k), -np.diagonal(c, k)[:-1], np.diagonal(w, k)
+        if k:
+            x = _thomas_longdouble(diag, off, rhs)
+        else:
+            x = np.append(_thomas_longdouble(diag[:-1], off[:-1], rhs[:-1]), 0)
+            x -= x.mean()
         start = max(k, -k * N)  # flat index of w[0, k] or w[-k, 0]; the diagonal has stride N + 1
-        flat[start : start + (N - abs(k)) * (N + 1) : N + 1] = ((vecs * inv) @ vecs.T) @ np.diagonal(w, k)
+        flat[start : start + (N - abs(k)) * (N + 1) : N + 1] = x
     return flat.reshape(N, N)
 
 
