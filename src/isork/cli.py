@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .diagnostics import convergence_study, run_recorded, write_csv
-from .integrator import _UPDATE_FORMS, _VARIANT_SIGNS, NonConvergenceError, StageLinAlgError, StepperConfig
+from .integrator import _UPDATE_FORMS, _VARIANT_SIGNS, NonConvergenceError, StepperConfig, _located
 from .systems import RigidBody, TodaExtended, ZeitlinSphere
 from .tableau import BUILTIN_TABLEAUS, SdirkTableau, builtin
 
@@ -224,10 +224,8 @@ def _system_for(config: RunConfig):
 
 def _initial_state(system, config: RunConfig):
     """The seeded initial state at config.scale; a config error when it or its energy is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu0 = system.initial_state(config.seed, config.scale)
-        finite = np.isfinite(mu0).all() and math.isfinite(system.hamiltonian(mu0))
-    if not finite:
+    mu0 = system.initial_state(config.seed, config.scale)
+    if not (np.isfinite(mu0).all() and math.isfinite(system.hamiltonian(mu0))):
         raise ConfigError(f"scale = {config.scale!r} gives an initial state or energy that is not finite")
     return mu0
 
@@ -397,15 +395,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors exit 2, --help exits 0
         return int(exc.code or 0)
     try:
-        config = build_config(args)
-        system, tableau, cfg = _validate(config)
-        if args.command == "run":
-            return cmd_run(config, system, tableau, cfg)
-        if args.command == "convergence":
-            return cmd_convergence(config, system, cfg, args.h_list, args.t_final, args.reference_h)
-        if args.command == "compare":
-            return cmd_compare(config, system, cfg, args.methods)
-        return cmd_dump_config(config)
+        # Overflow shows as a config error, a solver error or a first non-finite step, not a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            config = build_config(args)
+            system, tableau, cfg = _validate(config)
+            if args.command == "run":
+                return cmd_run(config, system, tableau, cfg)
+            if args.command == "convergence":
+                return cmd_convergence(config, system, cfg, args.h_list, args.t_final, args.reference_h)
+            if args.command == "compare":
+                return cmd_compare(config, system, cfg, args.methods)
+            return cmd_dump_config(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -415,11 +415,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except StageLinAlgError as exc:  # its message says where: "numerical error at step n stage i: ..."
-        print(exc, file=sys.stderr)
-        return 5
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+    except np.linalg.LinAlgError as exc:  # "numerical error at step n stage i: ...", where known
+        print(_located(exc), file=sys.stderr)
         return 5
 
 

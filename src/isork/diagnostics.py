@@ -14,7 +14,7 @@ call per quantity per block; the values are those of one call per state.
 
 Recorded runs and convergence sweeps hand a step callable (the
 isospectral stepper or either baseline) to the integrator's single
-macro-step loop, which attaches step indices to solver failures.  They
+macro-step loop, which sets step indices on solver failures.  They
 pass the macro step h through; cfg.tableau alone sets the substeps.
 
 CSV output uses shortest round-trip float formatting so files are
@@ -199,8 +199,8 @@ def convergence_study(
     of log error vs log h.  t_final, the step sizes and reference_h
     must be positive and finite, and every step size must divide t_final.
 
-    A non-convergent sweep member aborts the study; the raised error
-    carries the report of the completed members in its `partial`
+    A sweep member's NonConvergenceError or StageLinAlgError aborts the
+    study carrying the report of the completed members in its `partial`
     attribute (slope NaN when fewer than two points finished).
     """
     h_values = sorted((float(h) for h in h_list), reverse=True)
@@ -229,7 +229,7 @@ def convergence_study(
         mu_ref = _final_state(mu0, system, cfg, reference_h, t_final)
         for h in h_values:
             errors.append(float(np.linalg.norm(_final_state(mu0, system, cfg, h, t_final) - mu_ref)))
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, np.linalg.LinAlgError) as exc:
         exc.partial = partial_report(errors)
         raise
     return ConvergenceReport(tuple(h_values), tuple(errors), _fit_slope(h_values, errors))

@@ -24,10 +24,10 @@ Three loops serve every stepper.  `_fixed_point` is the sweep loop of
 every implicit solve (the reduced stage, the Cayley half-step stage
 and the cotangent increments): plain sweeps, then Anderson mixing.
 `_chain` runs a substage callable over the tableau's h_i, for the
-reduced and the cotangent stepper alike, and attaches stage indices
-to failures.  `_drive` is the macro-step loop, here and in the
+reduced and the cotangent stepper alike, and sets the stage index in
+place on a failure.  `_drive` is the macro-step loop, here and in the
 diagnostics module, over a step(mu) -> (mu_next, stages) callable;
-only it attaches step indices.
+only it sets the step index.
 
 Also here: the cotangent-bundle formulation of the same scheme (stage
 increments on group and momentum factors, reduced back through
@@ -71,48 +71,58 @@ _UPDATE_FORMS = ("conjugation", "dcay")
 _TOL_FLOOR = float(np.finfo(float).eps)
 
 
-def _where(step: int | None, stage: int | None) -> str:
-    where = ""
-    if step is not None:
-        where += f" at step {step}"
-    if stage is not None:
-        where += f" stage {stage}"
-    return where
+class _Located:
+    """A stepping failure's step and stage, set in place by `_located`.
+
+    str formats the class's _message; args stays the constructor's, so it pickles.
+    """
+
+    step = stage = None
+
+    def __str__(self):
+        where = "" if self.step is None else f" at step {self.step}"
+        where += "" if self.stage is None else f" stage {self.stage}"
+        return self._message.format(e=self, where=where)
 
 
-class NonConvergenceError(RuntimeError):
+def _located(exc, **where):
+    """exc with where's step or stage set in place; a plain LinAlgError becomes a StageLinAlgError."""
+    if not isinstance(exc, _Located):
+        exc = StageLinAlgError(str(exc))
+    vars(exc).update(where)
+    return exc
+
+
+class NonConvergenceError(_Located, RuntimeError):
     """Fixed-point stage solve failed to reach tolerance.
 
     Raised when the stage defect turns non-finite or stays above
     tolerance after solver_max_iters sweeps.  Anderson mixing widens
-    the range of step sizes that converge, but a step too large for the
-    iteration still diverges; halving it restores convergence.  Callers
-    abort the run rather than continue from an unconverged stage.
+    the range of step sizes that converge, but too large a step still
+    diverges; halving it restores convergence.  The stepping loops set
+    stage and step in place, and callers abort the run there.
     """
 
-    def __init__(self, iters: int, residual: float, step: int | None = None, stage: int | None = None):
-        self.iters = iters
-        self.residual = residual
-        self.step = step
-        self.stage = stage
-        super().__init__(
-            f"stage solve did not converge{_where(step, stage)}: residual {residual:.3e} after {iters} iterations"
-        )
+    _message = "stage solve did not converge{where}: residual {e.residual:.3e} after {e.iters} iterations"
+
+    def __init__(self, iters: int, residual: float):
+        super().__init__(iters, residual)
+        self.iters, self.residual = iters, residual
 
 
-class StageLinAlgError(np.linalg.LinAlgError):
+class StageLinAlgError(_Located, np.linalg.LinAlgError):
     """A LinAlgError raised while stepping, with where it happened.
 
-    Still a LinAlgError, so handlers of that keep catching it; step and
-    stage are attached as on NonConvergenceError, and the message reads
+    Still a LinAlgError, so handlers of that keep catching it; the
+    stepping loops set stage and step in place as on NonConvergenceError:
     "numerical error at step n stage i: <reason>".
     """
 
-    def __init__(self, reason: str, step: int | None = None, stage: int | None = None):
+    _message = "numerical error{where}: {e.reason}"
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
         self.reason = reason
-        self.step = step
-        self.stage = stage
-        super().__init__(f"numerical error{_where(step, stage)}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -297,9 +307,8 @@ def _chain(substage, x, cfg: StepperConfig, h: float):
     """The substage chain of one macro step of size h.
 
     Runs x, stage = substage(x, h * b_i) over cfg.tableau.b and returns
-    (x, [stage, ...]).  A failing substage is reported with its index:
-    NonConvergenceError gets stage=i and a LinAlgError becomes a
-    StageLinAlgError.
+    (x, [stage, ...]).  A failing substage's NonConvergenceError or
+    LinAlgError leaves through `_located` with stage=i set in place.
     """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
@@ -307,10 +316,8 @@ def _chain(substage, x, cfg: StepperConfig, h: float):
     for i, w in enumerate(cfg.tableau.b):
         try:
             x, st = substage(x, h * w)
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(exc.iters, exc.residual, stage=i) from None
-        except np.linalg.LinAlgError as exc:
-            raise StageLinAlgError(str(exc), stage=i) from None
+        except (NonConvergenceError, np.linalg.LinAlgError) as exc:
+            raise _located(exc, stage=i)
         stages.append(st)
     return x, stages
 
@@ -332,8 +339,8 @@ def _drive(step, mu0, n_steps: int):
 
     step(mu) -> (mu_next, stages) advances one macro step; the initial
     entry carries an empty stage list.  A non-convergent stage or a
-    LinAlgError aborts the run with the index of the failing step
-    attached, here and nowhere else.
+    LinAlgError aborts the run through `_located`, which sets the
+    failing step's index in place, here and nowhere else.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
@@ -342,12 +349,8 @@ def _drive(step, mu0, n_steps: int):
     for n in range(n_steps):
         try:
             mu, stages = step(mu)
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(exc.iters, exc.residual, step=n, stage=exc.stage) from None
-        except StageLinAlgError as exc:
-            raise StageLinAlgError(exc.reason, step=n, stage=exc.stage) from None
-        except np.linalg.LinAlgError as exc:
-            raise StageLinAlgError(str(exc), step=n) from None
+        except (NonConvergenceError, np.linalg.LinAlgError) as exc:
+            raise _located(exc, step=n)
         yield n + 1, mu, stages
 
 

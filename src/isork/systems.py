@@ -397,8 +397,7 @@ def zeitlin_laplacian_inv(w: np.ndarray) -> np.ndarray:
     since the identity component is not in the operator's range.
     """
     trace_residual = abs(complex(np.trace(w)))
-    # The bound is at least 1e-10, so the norm is needed only above that.
-    if trace_residual > 1e-10 and trace_residual > 1e-10 * (1.0 + float(np.linalg.norm(w))):
+    if trace_residual > 1e-10 * (1.0 + float(np.linalg.norm(w))):
         raise ValueError(f"inverse Laplacian needs traceless input (|tr| = {trace_residual:.3e})")
     return _apply_laplacian_pinv(w)
 

@@ -338,6 +338,17 @@ class TestExitCodes:
         assert code == 3
         assert "solver error" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_prints_no_warnings(self, tmp_path, capsys, monkeypatch):
+        # RK4 on Toda at h = 0.3 overflows; the summary names the step
+        # and numpy's overflow warnings stay silent.
+        monkeypatch.chdir(tmp_path)
+        argv = ["compare", "--system", "toda", "--h", "0.3", "--steps", "40", "--methods", "classical-rk4"]
+        assert main(argv + ["--out", "rk4"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "first non-finite step (classical-rk4): 4\n" in out
+
     def test_io_error(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         code = main(["run", "--steps", "2", "--h", "0.01", "--out", str(missing)])

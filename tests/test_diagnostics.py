@@ -19,6 +19,7 @@ from isork.diagnostics import (
 )
 from isork.integrator import (
     NonConvergenceError,
+    StageLinAlgError,
     StepperConfig,
     _drive,
     classical_rk4_step,
@@ -298,6 +299,20 @@ class TestConvergenceStudy:
         partial = info.value.partial
         assert partial.errors == ()
         assert math.isnan(partial.fitted_slope)
+
+    def test_partial_report_attached_on_breakdown(self, monkeypatch):
+        # A singular solve in the h = 0.1 run, after the reference and the h = 0.2 run.
+        def singular_at_h_0_1(mu, system, cfg, h):
+            if h == 0.1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return isospectral_sdirk_step(mu, system, cfg, h)
+
+        monkeypatch.setattr("isork.diagnostics.isospectral_sdirk_step", singular_at_h_0_1)
+        with pytest.raises(StageLinAlgError) as info:
+            convergence_study(RigidBody(), [0.2, 0.1, 0.05], 1.0)
+        assert info.value.step == 0
+        assert info.value.partial.h_values == (0.2,)
+        assert len(info.value.partial.errors) == 1
 
     def test_failure_reports_step(self):
         # The reference run's first step overflows, and the sweep's

@@ -1,6 +1,8 @@
 """Stage solves, macro steps, cotangent form, and reference baselines."""
 
 import math
+import pickle
+import traceback
 
 import numpy as np
 import pytest
@@ -91,6 +93,19 @@ class _ConstantFlow:
 
 def _cfg(**kw):
     return StepperConfig(**kw)
+
+
+def _singular_at_step_3_stage_1(monkeypatch):
+    """Make solve_stage raise a singular-matrix LinAlgError at step 3, stage 1 of a yoshida4 run."""
+    calls = []
+
+    def failing_solve_stage(mu_prev, h_i, system, cfg):
+        calls.append(h_i)
+        if len(calls) == 3 * 3 + 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve_stage(mu_prev, h_i, system, cfg)
+
+    monkeypatch.setattr("isork.integrator.solve_stage", failing_solve_stage)
 
 
 def _stage_defect(mu, mu_prev, a, system):
@@ -477,16 +492,7 @@ class TestRunTrajectory:
         assert str(info.value).endswith("after 3 iterations")
 
     def test_linalg_failure_carries_step_and_stage(self, monkeypatch):
-        # A singular solve in the second stage of the third step.
-        calls = []
-
-        def failing_solve_stage(mu_prev, h_i, system, cfg):
-            calls.append(h_i)
-            if len(calls) == 3 * 3 + 2:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve_stage(mu_prev, h_i, system, cfg)
-
-        monkeypatch.setattr("isork.integrator.solve_stage", failing_solve_stage)
+        _singular_at_step_3_stage_1(monkeypatch)
         sys = RigidBody()
         cfg = _cfg(tableau=builtin("yoshida4"))
         with pytest.raises(np.linalg.LinAlgError) as info:
@@ -495,6 +501,26 @@ class TestRunTrajectory:
         assert (info.value.step, info.value.stage) == (3, 1)
         assert info.value.reason == "Singular matrix"
         assert str(info.value) == "numerical error at step 3 stage 1: Singular matrix"
+
+    def test_failures_keep_origin_and_pickle(self, monkeypatch):
+        # The loops set step and stage in place: the exception keeps the
+        # traceback of the raising solver, or numpy's LinAlgError as its
+        # context, and comes back whole from another process.
+        sys = RigidBody()
+        with pytest.raises(NonConvergenceError) as overflow:
+            run_trajectory(sys.initial_state(0), sys, _cfg(), 1e300, 2)
+        assert traceback.extract_tb(overflow.value.__traceback__)[-1].name == "_fixed_point"
+        _singular_at_step_3_stage_1(monkeypatch)
+        with pytest.raises(StageLinAlgError) as singular:
+            run_trajectory(sys.initial_state(0), sys, _cfg(tableau=builtin("yoshida4")), 0.05, 5)
+        assert type(singular.value.__context__) is np.linalg.LinAlgError
+        for exc, fields in ((overflow.value, ("iters", "residual")), (singular.value, ("reason",))):
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is type(exc) and str(back) == str(exc)
+            for name in ("step", "stage") + fields:
+                assert getattr(back, name) == getattr(exc, name)
+        assert (overflow.value.step, overflow.value.stage) == (0, 0)
+        assert str(singular.value) == "numerical error at step 3 stage 1: Singular matrix"
 
     @pytest.mark.parametrize(
         "tableau, h, n_steps",
@@ -648,6 +674,22 @@ class TestGawlikBaseline:
         assert gaw_drift > 1e-8
         assert iso_drift < 1e-13
         assert gaw_drift > 1e4 * iso_drift
+
+    @pytest.mark.parametrize(
+        "sys, h", [(RigidBody(), 0.05), (TodaExtended(4), 0.05), (ZeitlinSphere(N=9), 0.01)],
+        ids=["rigidbody", "toda", "zeitlin"],
+    )
+    def test_updates_the_midpoint_stage_points(self, sys, h):
+        # The paper's remark: the Cayley half-step update is the dcay-form
+        # midpoint method read as an update of its stage points, bit for bit.
+        cfg = _cfg(update_form="dcay")
+        mu, stages = isospectral_sdirk_step(sys.initial_state(3), sys, cfg, h)
+        m = stages[0].mu_stage
+        for _ in range(50):
+            mu, stages = isospectral_sdirk_step(mu, sys, cfg, h)
+            m, gaw = gawlik_step(m, h, sys, cfg)
+            assert np.array_equal(m, stages[0].mu_stage)
+            assert gaw[0].iters == stages[0].iters
 
 
 class TestClassicalRk4:

@@ -13,6 +13,7 @@ from isork.systems import (
     RigidBody,
     TodaExtended,
     ZeitlinSphere,
+    _apply_laplacian_pinv,
     _laplacian_coefficients,
     casimirs,
     toda_extended_B,
@@ -228,6 +229,8 @@ class TestZeitlinOperators:
         # The reference: the operator as a dense N^2 x N^2 matrix on
         # vec(w), inverted through its eigendecomposition.
         # N = 2 has a single wrapped off-diagonal, which crosses the seam.
+        # The traced input, which only the unchecked operator that B uses
+        # takes, checks that the identity component maps to zero.
         for N in (2, 3, 5, 9, 17, 33):
             eye = np.eye(N)
             op = np.zeros((N * N, N * N), dtype=complex)
@@ -241,6 +244,9 @@ class TestZeitlinOperators:
                 w = random_algebra_element(ZeitlinSphere(N=N).context, seed)
                 ref = (pinv @ w.reshape(-1)).reshape(N, N)
                 assert np.linalg.norm(zeitlin_laplacian_inv(w) - ref) <= 1e-12 * np.linalg.norm(ref)
+                traced = w + 1e-3j * np.eye(N)
+                ref = (pinv @ traced.reshape(-1)).reshape(N, N)
+                assert np.linalg.norm(_apply_laplacian_pinv(traced) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_inverse_matches_per_diagonal_reference(self):
         for N in range(2, 66):
