@@ -16,6 +16,8 @@ output re-parses to the same configuration.
 Exit codes: 0 success, 2 configuration or usage error, 3 stage solver
 non-convergence, 4 I/O failure, 5 numerical breakdown (a linear
 algebra failure, such as a singular Cayley solve, while stepping).
+The exit-3 and exit-5 lines name the step and stage and, for compare
+and convergence, end in the failing method or step size.
 """
 
 from __future__ import annotations
@@ -236,9 +238,8 @@ def _max_of(values) -> float:
 
 
 def _first_non_finite(records) -> str:
-    """The step of the first record with a non-finite field, or "none"."""
-    fields_of = lambda r: (r.energy, r.energy_drift, r.spectral_drift, r.membership_residual, *r.casimir_values)
-    return next((str(r.step) for r in records if not all(map(math.isfinite, fields_of(r)))), "none")
+    """The step of the first record with a non-finite field after step and t, or "none"."""
+    return next((str(r.step) for r in records if not all(map(math.isfinite, r.row()[2:]))), "none")
 
 
 def _print_run_summary(config: RunConfig, tableau, records, path: str) -> None:
@@ -317,7 +318,10 @@ def cmd_compare(config: RunConfig, system, cfg: StepperConfig, methods) -> int:
         prefix = prefix[: -len(".csv")]
     results = []
     for label, kind, tableau in runners:
-        records = run_recorded(system, mu0, replace(cfg, tableau=tableau), config.h, config.steps, method=kind)
+        try:
+            records = run_recorded(system, mu0, replace(cfg, tableau=tableau), config.h, config.steps, kind)
+        except (NonConvergenceError, np.linalg.LinAlgError) as exc:
+            raise _located(exc, member=f"method {label}")
         path = f"{prefix}-{label}.csv"
         write_csv(records, path)
         results.append((label, _max_of(r.spectral_drift for r in records), path, _first_non_finite(records)))

@@ -17,7 +17,8 @@ isospectral stepper or either baseline) to the integrator's single
 macro-step loop, which sets step indices on solver failures.  They
 pass the macro step h through; cfg.tableau alone sets the substeps.
 
-CSV output uses shortest round-trip float formatting so files are
+A CSV line is a record's `row()`, the one statement of the column
+order, written in shortest round-trip form (repr), so files are
 byte-deterministic for a given (seed, config) and parse back
 bit-exactly.
 """
@@ -33,6 +34,7 @@ from .integrator import (
     NonConvergenceError,
     StepperConfig,
     _drive,
+    _located,
     classical_rk4_step,
     gawlik_step,
     isospectral_sdirk_step,
@@ -74,6 +76,11 @@ class TrajectoryRecord:
     solver_iters_total: int
     membership_residual: float
 
+    def row(self) -> tuple:
+        """The values in CSV column order, the one place that states it."""
+        return (self.step, self.t, self.energy, self.energy_drift, self.spectral_drift,
+                *self.casimir_values, self.solver_iters_total, self.membership_residual)
+
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -94,7 +101,6 @@ class Recorder:
 
     def __init__(self, system, mu0):
         self.system = system
-        self.mu0 = mu0
         self.energy0 = float(system.hamiltonian(mu0))
         self.spectrum0 = spectrum(mu0)
 
@@ -164,9 +170,9 @@ def run_recorded(
     return records
 
 
-def _final_state(mu0, system, cfg: StepperConfig, h: float, t_final: float):
+def _final_state(mu0, system, cfg: StepperConfig, h: float, n_steps: int):
     step = lambda mu: isospectral_sdirk_step(mu, system, cfg, h)
-    for _, mu_n, _ in _drive(step, mu0, _step_count(t_final, h)):
+    for _, mu_n, _ in _drive(step, mu0, n_steps):
         pass
     return mu_n
 
@@ -179,6 +185,13 @@ def _step_count(t_final: float, h: float) -> int:
     if n < 1 or abs(n * h - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError(f"t_final = {t_final} is not an integer multiple of h = {h}")
     return n
+
+
+def _report(h_values, errors) -> ConvergenceReport:
+    """The report over the first len(errors) step sizes; slope NaN below two points."""
+    h_values = tuple(h_values[: len(errors)])
+    slope = float(np.polyfit(np.log(h_values), np.log(errors), 1)[0]) if len(errors) >= 2 else math.nan
+    return ConvergenceReport(h_values, tuple(errors), slope)
 
 
 def convergence_study(
@@ -197,11 +210,15 @@ def convergence_study(
     never allowed coarser than that), then reports final-state
     Frobenius errors against the reference and the least-squares slope
     of log error vs log h.  t_final, the step sizes and reference_h
-    must be positive and finite, and every step size must divide t_final.
+    must be positive and finite, and every step size must divide
+    t_final; all of them are checked, the reference's first, before
+    the first step is taken.
 
     A sweep member's NonConvergenceError or StageLinAlgError aborts the
-    study carrying the report of the completed members in its `partial`
-    attribute (slope NaN when fewer than two points finished).
+    study with the failing step size set in place as its `member`
+    ("reference_h = ..." or "h = ..."), carrying the report of the
+    completed members in its `partial` attribute (slope NaN when fewer
+    than two points finished).
     """
     h_values = sorted((float(h) for h in h_list), reverse=True)
     if len(h_values) < 2:
@@ -219,28 +236,23 @@ def convergence_study(
         )
     if mu0 is None:
         mu0 = system.initial_state(seed)
-
-    def partial_report(errors):
-        slope = _fit_slope(h_values[: len(errors)], errors) if len(errors) >= 2 else float("nan")
-        return ConvergenceReport(tuple(h_values[: len(errors)]), tuple(errors), slope)
+    n_ref, *counts = (_step_count(t_final, h) for h in (reference_h, *h_values))
 
     errors = []
+    member = f"reference_h = {reference_h!r}"
     try:
-        mu_ref = _final_state(mu0, system, cfg, reference_h, t_final)
-        for h in h_values:
-            errors.append(float(np.linalg.norm(_final_state(mu0, system, cfg, h, t_final) - mu_ref)))
+        mu_ref = _final_state(mu0, system, cfg, reference_h, n_ref)
+        for h, n in zip(h_values, counts):
+            member = f"h = {h!r}"
+            errors.append(float(np.linalg.norm(_final_state(mu0, system, cfg, h, n) - mu_ref)))
     except (NonConvergenceError, np.linalg.LinAlgError) as exc:
-        exc.partial = partial_report(errors)
-        raise
-    return ConvergenceReport(tuple(h_values), tuple(errors), _fit_slope(h_values, errors))
-
-
-def _fit_slope(h_values, errors) -> float:
-    return float(np.polyfit(np.log(h_values), np.log(errors), 1)[0])
+        exc.partial = _report(h_values, errors)
+        raise _located(exc, member=member)
+    return _report(h_values, errors)
 
 
 def write_csv(records, path) -> None:
-    """Write records to path; see module docstring for determinism notes.
+    """Write records to path, one TrajectoryRecord.row() per line in repr form.
 
     Columns: step, t, energy, energy_drift, spectral_drift,
     casimir_2..casimir_K (labels follow the consecutive Casimir orders
@@ -258,31 +270,15 @@ def write_csv(records, path) -> None:
         for r in records:
             if len(r.casimir_values) != n_cas:
                 raise ValueError("records disagree on the number of casimir values")
-            row = [str(r.step), repr(r.t), repr(r.energy), repr(r.energy_drift), repr(r.spectral_drift)]
-            row += [repr(c) for c in r.casimir_values]
-            row += [str(r.solver_iters_total), repr(r.membership_residual)]
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(map(repr, r.row())) + "\n")
 
 
 def read_csv(path) -> list[TrajectoryRecord]:
     """Parse a write_csv file back; inverse of write_csv at full precision."""
     with open(path, newline="") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    n_cas = sum(1 for name in header if name.startswith("casimir_"))
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        out.append(
-            TrajectoryRecord(
-                step=int(parts[0]),
-                t=float(parts[1]),
-                energy=float(parts[2]),
-                energy_drift=float(parts[3]),
-                spectral_drift=float(parts[4]),
-                casimir_values=tuple(float(x) for x in parts[5 : 5 + n_cas]),
-                solver_iters_total=int(parts[5 + n_cas]),
-                membership_residual=float(parts[6 + n_cas]),
-            )
-        )
-    return out
+        rows = [ln.rstrip("\n").split(",") for ln in fh if ln.strip()][1:]
+    return [
+        TrajectoryRecord(int(step), float(t), float(e), float(de), float(ds), tuple(map(float, cas)),
+                         int(iters), float(res))
+        for step, t, e, de, ds, *cas, iters, res in rows
+    ]

@@ -72,21 +72,24 @@ _TOL_FLOOR = float(np.finfo(float).eps)
 
 
 class _Located:
-    """A stepping failure's step and stage, set in place by `_located`.
+    """A stepping failure's step, stage and member, set in place by `_located`.
 
-    str formats the class's _message; args stays the constructor's, so it pickles.
+    The member is what a caller of several runs was running (a compare
+    method, a convergence step size).  str formats the class's _message
+    and ends in "(for <member>)"; args stays the constructor's, so it pickles.
     """
 
-    step = stage = None
+    step = stage = member = None
 
     def __str__(self):
         where = "" if self.step is None else f" at step {self.step}"
         where += "" if self.stage is None else f" stage {self.stage}"
-        return self._message.format(e=self, where=where)
+        text = self._message.format(e=self, where=where)
+        return text if self.member is None else f"{text} (for {self.member})"
 
 
 def _located(exc, **where):
-    """exc with where's step or stage set in place; a plain LinAlgError becomes a StageLinAlgError."""
+    """exc with where's step, stage or member set in place; a plain LinAlgError becomes a StageLinAlgError."""
     if not isinstance(exc, _Located):
         exc = StageLinAlgError(str(exc))
     vars(exc).update(where)
@@ -377,13 +380,11 @@ class CotangentState:
 
 @dataclass(frozen=True)
 class CotangentStage:
-    """Converged cotangent substage with the updated half points."""
+    """Converged cotangent substage; the substage returns the updated half points."""
 
     g_stage: np.ndarray
     p_stage: np.ndarray
     mu_stage: np.ndarray
-    g_half: np.ndarray
-    p_half: np.ndarray
     iters: int
     residual: float
 
@@ -437,18 +438,14 @@ def cotangent_sdirk_step(state: CotangentState, system, cfg: StepperConfig, h: f
         (k_g, k_p), iters, residual = _fixed_point(sweep, k0, scale, cfg.solver_max_iters)
         g_mid = g + half * k_g
         p_mid = p + half * k_p
-        g = g + h_i * k_g
-        p = p + h_i * k_p
         stage = CotangentStage(
             g_stage=g_mid,
             p_stage=p_mid,
             mu_stage=g_mid.conj().T.dot(p_mid),
-            g_half=g,
-            p_half=p,
             iters=iters,
             residual=residual,
         )
-        return CotangentState(g, p), stage
+        return CotangentState(g + h_i * k_g, p + h_i * k_p), stage
 
     return _chain(substage, state, cfg, h)
 

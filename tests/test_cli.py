@@ -382,6 +382,32 @@ class TestExitCodes:
         assert main(argv) == 5
         assert "numerical error at step 0: Singular matrix" in capsys.readouterr().err
 
+    def test_compare_names_the_failing_method(self, tmp_path, capsys, monkeypatch):
+        # classical-rk4 finishes and writes its file; midpoint's first Toda
+        # stage diverges at h = 0.3, and gawlik never runs.
+        monkeypatch.chdir(tmp_path)
+        argv = ["compare", "--system", "toda", "--h", "0.3", "--steps", "40"]
+        assert main(argv + ["--methods", "classical-rk4,midpoint,gawlik", "--out", "cmp"]) == 3
+        assert capsys.readouterr().err == (
+            "solver error: stage solve did not converge at step 0 stage 0: "
+            "residual inf after 23 iterations (for method midpoint)\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cmp-classical-rk4.csv"]
+
+    @pytest.mark.parametrize(
+        "argv, member",
+        [
+            (["--system", "toda", "--h-list", "0.4,0.2,0.1", "--t-final", "0.8"], "h = 0.4"),
+            (["--h-list", "1e300,2e300,4e300", "--t-final", "4e300"], "reference_h = 1.25e+299"),
+        ],
+        ids=["h", "reference"],
+    )
+    def test_convergence_names_the_failing_step_size(self, argv, member, capsys):
+        assert main(["convergence"] + argv) == 3
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("solver error: stage solve did not converge at step 0 stage 0: ")
+        assert err.endswith(f" (for {member})")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -33,12 +34,12 @@ from isork.tableau import builtin
 from test_quadlie import _loop_spectrum
 
 
-def _per_state_record(rec, mu_n, solver_iters, step, h):
+def _per_state_record(rec, mu0, mu_n, solver_iters, step, h):
     """The record body before blocks: one loop-clustered spectrum per state."""
     system = rec.system
     energy = float(system.hamiltonian(mu_n))
     try:
-        drift = float(np.max(np.abs(_loop_spectrum(mu_n) - _loop_spectrum(rec.mu0))))
+        drift = float(np.max(np.abs(_loop_spectrum(mu_n) - _loop_spectrum(mu0))))
     except np.linalg.LinAlgError:
         drift = float("nan")
     return TrajectoryRecord(
@@ -76,7 +77,7 @@ def _per_state_run(system, mu0, h, n_steps, method, record_every=1):
     }[method]
     rec = Recorder(system, mu0)
     return [
-        _per_state_record(rec, mu, sum(s.iters for s in stages), n, h)
+        _per_state_record(rec, mu0, mu, sum(s.iters for s in stages), n, h)
         for n, mu, stages in _drive(step, mu0, n_steps)
         if n % record_every == 0 or n == n_steps
     ]
@@ -314,6 +315,35 @@ class TestConvergenceStudy:
         assert info.value.partial.h_values == (0.2,)
         assert len(info.value.partial.errors) == 1
 
+    def test_partial_report_is_the_full_reports_prefix(self, monkeypatch):
+        sys = RigidBody()
+        full = convergence_study(sys, [0.2, 0.1, 0.05], 1.0)
+        first_two = convergence_study(sys, [0.2, 0.1], 1.0, reference_h=0.00625)
+        assert first_two.h_values == full.h_values[:2] and first_two.errors == full.errors[:2]
+        real_step = diag.isospectral_sdirk_step
+
+        def singular_at_h_0_05(mu, system, cfg, h):
+            if h == 0.05:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_step(mu, system, cfg, h)
+
+        monkeypatch.setattr(diag, "isospectral_sdirk_step", singular_at_h_0_05)
+        with pytest.raises(StageLinAlgError) as info:
+            convergence_study(sys, [0.2, 0.1, 0.05], 1.0)
+        assert info.value.partial == first_two
+        assert info.value.member == "h = 0.05"
+        assert str(info.value) == "numerical error at step 0: Singular matrix (for h = 0.05)"
+        assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
+
+    def test_every_step_count_is_checked_before_stepping(self, monkeypatch):
+        # 0.3 does not divide 1; the 10,000-step reference is never stepped.
+        calls = []
+        real_step = diag.isospectral_sdirk_step
+        monkeypatch.setattr(diag, "isospectral_sdirk_step", lambda *args: calls.append(1) or real_step(*args))
+        with pytest.raises(ValueError, match=r"^t_final = 1.0 is not an integer multiple of h = 0.3$"):
+            convergence_study(RigidBody(), [0.3, 0.2, 0.1], 1.0, reference_h=1e-4)
+        assert len(calls) == 0
+
     def test_failure_reports_step(self):
         # The reference run's first step overflows, and the sweep's
         # runs share the stepping loop that attaches the step index.
@@ -321,6 +351,7 @@ class TestConvergenceStudy:
             convergence_study(RigidBody(), [1e300, 2e300, 4e300], 4e300)
         assert info.value.step == 0
         assert info.value.stage == 0
+        assert info.value.member == "reference_h = 1.25e+299"
         assert info.value.partial.errors == ()
 
     def test_respects_caller_stepper_config(self):
@@ -347,11 +378,40 @@ class TestCsv:
             "casimir_2,casimir_3,casimir_4,casimir_5,solver_iters,membership_residual"
         )
 
+    @pytest.mark.parametrize("make", [RigidBody, lambda: TodaExtended(4), lambda: ZeitlinSphere(5)])
+    def test_columns_pair_with_record_fields(self, make, tmp_path):
+        sys = make()
+        records = run_recorded(sys, sys.initial_state(1), StepperConfig(), 0.02, 3)
+        path = tmp_path / "out.csv"
+        write_csv(records, path)
+        header, *lines = path.read_text().splitlines()
+        for r, line in zip(records, lines, strict=True):
+            cols = dict(zip(header.split(","), line.split(","), strict=True))
+            assert cols["solver_iters"] == str(r.solver_iters_total)
+            for k, c in enumerate(r.casimir_values, start=2):
+                assert cols[f"casimir_{k}"] == repr(c)
+        assert records[-1].solver_iters_total > 0
+        assert read_csv(path) == records
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         records, _ = self._records()
         path = tmp_path / "out.csv"
         write_csv(records, path)
         assert read_csv(path) == records
+
+    def test_records_without_casimirs_round_trip(self, tmp_path):
+        records = [
+            TrajectoryRecord(step=n, t=0.1 * n, energy=1.5, energy_drift=-2e-17 * n, spectral_drift=math.nan,
+                             casimir_values=(), solver_iters_total=3 * n, membership_residual=1e-300)
+            for n in range(3)
+        ]
+        path = tmp_path / "bare.csv"
+        write_csv(records, path)
+        assert path.read_text().splitlines()[0] == (
+            "step,t,energy,energy_drift,spectral_drift,solver_iters,membership_residual"
+        )
+        # NaN != NaN, so compare reprs.
+        assert repr(read_csv(path)) == repr(records)
 
     def test_output_is_byte_deterministic(self, tmp_path):
         records, _ = self._records()
