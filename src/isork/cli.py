@@ -3,9 +3,10 @@
 A thin shell over the library: every subcommand builds a RunConfig
 from defaults, an optional flat key = value config file, command-line
 flags, and the ISORK_SEED environment variable (strongest, in that
-order).  _validate checks it and builds the system, tableau and stepper
+order).  _validate checks it and builds the system and the stepper
 config it names, once; the subcommand drives the recorded runners on
-those and writes CSV.
+those and writes CSV.  _tableau_for is the one place that turns a
+method name into a tableau, for run and for every compare label.
 
 Config file grammar: one `key = value` per line, keys named like the
 RunConfig fields, `#` comments and blank lines ignored, list values
@@ -33,7 +34,7 @@ import numpy as np
 from .diagnostics import convergence_study, run_recorded, write_csv
 from .integrator import _UPDATE_FORMS, _VARIANT_SIGNS, NonConvergenceError, StepperConfig, _located
 from .systems import RigidBody, TodaExtended, ZeitlinSphere
-from .tableau import BUILTIN_TABLEAUS, SdirkTableau, builtin
+from .tableau import BUILTIN_TABLEAUS, SdirkTableau
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -178,11 +179,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(config: RunConfig):
-    """Build what config names, (system, tableau, stepper config); ConfigError on a bad value."""
-    if config.method not in _METHODS:
-        raise ConfigError(f"method must be one of {_METHODS}, got {config.method!r}")
-    if config.method == "custom" and not config.custom_b:
-        raise ConfigError("method = custom requires custom_b weights")
+    """Build what config names, (system, stepper config); ConfigError on a bad value."""
     if not 0 < config.h < math.inf:
         raise ConfigError(f"h must be positive and finite, got {config.h}")
     if config.steps < 1:
@@ -193,25 +190,27 @@ def _validate(config: RunConfig):
     # the size fields of the other systems are unused and not checked.
     try:
         system = _system_for(config)
-        tableau = _tableau_for(config)
         cfg = StepperConfig(
             variant=config.variant, update_form=config.update_form, solver_tol=config.solver_tol,
-            solver_max_iters=config.solver_max_iters, tableau=tableau,
+            solver_max_iters=config.solver_max_iters, tableau=_tableau_for(config.method, config),
         )
     except MemoryError:
         raise ConfigError(f"{config.system} system of this size does not fit in memory") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return system, tableau, cfg
+    return system, cfg
 
 
-def _tableau_for(config: RunConfig):
-    if config.method == "custom":
+def _tableau_for(method: str, config: RunConfig) -> SdirkTableau:
+    """The tableau a method name selects, for run and each compare label; SdirkTableau checks custom_b."""
+    if method == "custom":
         try:
             return SdirkTableau(config.custom_b, "custom")
         except ValueError as exc:
             raise ConfigError(f"custom_b: {exc}") from None
-    return builtin(config.method)
+    if method not in BUILTIN_TABLEAUS:
+        raise ConfigError(f"method must be one of {_METHODS}, got {method!r}")
+    return BUILTIN_TABLEAUS[method]
 
 
 def _system_for(config: RunConfig):
@@ -267,12 +266,12 @@ def _print_run_summary(config: RunConfig, tableau, records, path: str) -> None:
     print(f"wrote {path}")
 
 
-def cmd_run(config: RunConfig, system, tableau, cfg: StepperConfig) -> int:
+def cmd_run(config: RunConfig, system, cfg: StepperConfig) -> int:
     mu0 = _initial_state(system, config)
     records = run_recorded(system, mu0, cfg, config.h, config.steps)
-    path = config.out or f"{config.system}-{tableau.name}.csv"
+    path = config.out or f"{config.system}-{cfg.tableau.name}.csv"
     write_csv(records, path)
-    _print_run_summary(config, tableau, records, path)
+    _print_run_summary(config, cfg.tableau, records, path)
     return 0
 
 
@@ -299,11 +298,9 @@ def cmd_convergence(config: RunConfig, system, cfg: StepperConfig, h_list, t_fin
 def _compare_runner(label: str, config: RunConfig):
     """Resolve a compare method label to (stepper kind, tableau)."""
     if label in _COMPARE_BASELINES:
-        return _COMPARE_BASELINES[label], builtin("midpoint")
-    if label == "custom" and not config.custom_b:
-        raise ConfigError("compare method custom requires custom_b weights")
+        return _COMPARE_BASELINES[label], BUILTIN_TABLEAUS["midpoint"]
     if label in _METHODS:
-        return "isospectral", _tableau_for(replace(config, method=label))
+        return "isospectral", _tableau_for(label, config)
     known = ", ".join(tuple(_COMPARE_BASELINES) + _METHODS)
     raise ConfigError(f"unknown compare method {label!r}; known: {known}")
 
@@ -311,17 +308,24 @@ def _compare_runner(label: str, config: RunConfig):
 def cmd_compare(config: RunConfig, system, cfg: StepperConfig, methods) -> int:
     if not methods:
         raise ConfigError("compare needs at least one method")
-    runners = [(label, *_compare_runner(label, config)) for label in methods]
+    runners = {}
+    for label in methods:
+        if label in runners:
+            raise ConfigError(f"compare method {label!r} is listed more than once")
+        runners[label] = _compare_runner(label, config)
     mu0 = _initial_state(system, config)
     prefix = config.out or f"compare-{config.system}"
     if prefix.endswith(".csv"):
         prefix = prefix[: -len(".csv")]
-    results = []
-    for label, kind, tableau in runners:
+    runs = {}
+    for label, (kind, tableau) in runners.items():
         try:
-            records = run_recorded(system, mu0, replace(cfg, tableau=tableau), config.h, config.steps, kind)
+            runs[label] = run_recorded(system, mu0, replace(cfg, tableau=tableau), config.h, config.steps, kind)
         except (NonConvergenceError, np.linalg.LinAlgError) as exc:
             raise _located(exc, member=f"method {label}")
+    # Every method has finished before the first CSV is written, so a failing compare leaves none.
+    results = []
+    for label, records in runs.items():
         path = f"{prefix}-{label}.csv"
         write_csv(records, path)
         results.append((label, _max_of(r.spectral_drift for r in records), path, _first_non_finite(records)))
@@ -402,9 +406,9 @@ def main(argv=None) -> int:
         # Overflow shows as a config error, a solver error or a first non-finite step, not a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             config = build_config(args)
-            system, tableau, cfg = _validate(config)
+            system, cfg = _validate(config)
             if args.command == "run":
-                return cmd_run(config, system, tableau, cfg)
+                return cmd_run(config, system, cfg)
             if args.command == "convergence":
                 return cmd_convergence(config, system, cfg, args.h_list, args.t_final, args.reference_h)
             if args.command == "compare":

@@ -18,8 +18,8 @@ macro-step loop, which sets step indices on solver failures.  They
 pass the macro step h through; cfg.tableau alone sets the substeps.
 
 A CSV line is a record's `row()`, the one statement of the column
-order, written in shortest round-trip form (repr), so files are
-byte-deterministic for a given (seed, config) and parse back
+order, as Python scalars in shortest round-trip form (repr), so files
+are byte-deterministic for a given (seed, config) and parse back
 bit-exactly.
 """
 
@@ -77,9 +77,10 @@ class TrajectoryRecord:
     membership_residual: float
 
     def row(self) -> tuple:
-        """The values in CSV column order, the one place that states it."""
-        return (self.step, self.t, self.energy, self.energy_drift, self.spectral_drift,
-                *self.casimir_values, self.solver_iters_total, self.membership_residual)
+        """The values in CSV column order, the one place that states it, as Python ints and floats."""
+        return (int(self.step), *map(float, (self.t, self.energy, self.energy_drift, self.spectral_drift,
+                                             *self.casimir_values)),
+                int(self.solver_iters_total), float(self.membership_residual))
 
 
 @dataclass(frozen=True)

@@ -198,13 +198,16 @@ def cayley_conjugate(xi: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _solve_right(a, hi).dot(lo)
 
 
-def spectrum(a: np.ndarray, real_tol: float = 1e-9) -> np.ndarray:
+_REAL_TOL = 1e-9
+
+
+def spectrum(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a, or of each matrix in a stack (..., n, n), in canonical order.
 
     Sorted by real part ascending with ties broken by imaginary part
-    ascending.  Ties are detected with the relative tolerance
-    `real_tol` rather than exact comparison: conserved spectra of skew
-    or skew-Hermitian matrices have real parts that are pure roundoff
+    ascending.  Ties are detected with the relative tolerance _REAL_TOL
+    = 1e-9 rather than exact comparison: conserved spectra of skew or
+    skew-Hermitian matrices have real parts that are pure roundoff
     noise, and an exact lexicographic sort would let that noise swap
     conjugate pairs between successive evaluations.  Clustering the
     real parts first makes the order reproducible along a trajectory.
@@ -218,7 +221,7 @@ def spectrum(a: np.ndarray, real_tol: float = 1e-9) -> np.ndarray:
     """
     ev = np.linalg.eigvals(np.asarray(a, dtype=np.result_type(a.dtype, np.float64)))
     ev = np.take_along_axis(ev, np.lexsort((ev.imag, ev.real), axis=-1), axis=-1)
-    tol = real_tol * (1.0 + np.abs(ev).max(axis=-1, keepdims=True, initial=0.0))
+    tol = _REAL_TOL * (1.0 + np.abs(ev).max(axis=-1, keepdims=True, initial=0.0))
     # A cluster starts at each real-part gap not within tol (NaN too); both
     # sorts are stable, so clusters keep their order and sort by imag inside.
     gaps = np.diff(ev.real, axis=-1, prepend=ev.real[..., :1])

@@ -56,8 +56,8 @@ __all__ = [
 
 
 def _trace(w: np.ndarray):
-    # Contiguous copies sum each diagonal as np.trace does; an F-ordered stack in place would not.
-    return np.trace(w) if w.ndim == 2 else np.ascontiguousarray(np.diagonal(w, 0, -2, -1)).sum(-1)
+    # A contiguous copy sums each diagonal as np.trace does; an F-ordered stack in place would not.
+    return np.ascontiguousarray(np.diagonal(w, 0, -2, -1)).sum(-1)
 
 
 def _float(value):
@@ -457,10 +457,6 @@ class ZeitlinSphere(IsospectralSystem):
             _laplacian_pinv(N)  # precompute; instances stay immutable after this
             self._operator = _apply_laplacian_pinv
         self._scale = N ** 1.5
-
-    @property
-    def spin_generators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return zeitlin_spin_generators(self.N)
 
     def _stream(self, w: np.ndarray) -> np.ndarray:
         # Implicit stage iterates drift O(h^2) off su(N) along the identity, the

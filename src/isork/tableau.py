@@ -12,7 +12,8 @@ from StepperConfig.tableau.
 SdirkTableau checks its weights where it is built, for every caller,
 and raises ValueError unless they are non-empty, nonzero (a zero-length
 substage is degenerate) and sum to 1 within 1e-10, which also rejects
-NaN and infinite weights.
+NaN and infinite weights.  It is the one home of these rules: the CLI
+builds its custom tableau straight from the parsed weights.
 
 Builtin weight vectors:
 
@@ -35,7 +36,6 @@ __all__ = [
     "SdirkTableau",
     "BUILTIN_TABLEAUS",
     "builtin",
-    "parse_custom",
     "order_conditions",
 ]
 
@@ -86,15 +86,6 @@ def builtin(name: str) -> SdirkTableau:
     except KeyError:
         known = ", ".join(sorted(BUILTIN_TABLEAUS))
         raise ValueError(f"unknown tableau {name!r}; builtins: {known}") from None
-
-
-def parse_custom(text: str) -> SdirkTableau:
-    """Parse a comma-separated weight list into a tableau; SdirkTableau checks the weights."""
-    try:
-        b = tuple(float(piece) for piece in map(str.strip, text.split(",")) if piece)
-    except ValueError as exc:
-        raise ValueError(f"unparsable weight in {text!r}: {exc}") from None
-    return SdirkTableau(b, "custom")
 
 
 def order_conditions(tableau: SdirkTableau) -> tuple[float, float]:

@@ -383,8 +383,8 @@ class TestExitCodes:
         assert "numerical error at step 0: Singular matrix" in capsys.readouterr().err
 
     def test_compare_names_the_failing_method(self, tmp_path, capsys, monkeypatch):
-        # classical-rk4 finishes and writes its file; midpoint's first Toda
-        # stage diverges at h = 0.3, and gawlik never runs.
+        # classical-rk4 finishes, midpoint's first Toda stage diverges at
+        # h = 0.3, and gawlik never runs; no CSV is written before all finish.
         monkeypatch.chdir(tmp_path)
         argv = ["compare", "--system", "toda", "--h", "0.3", "--steps", "40"]
         assert main(argv + ["--methods", "classical-rk4,midpoint,gawlik", "--out", "cmp"]) == 3
@@ -392,7 +392,7 @@ class TestExitCodes:
             "solver error: stage solve did not converge at step 0 stage 0: "
             "residual inf after 23 iterations (for method midpoint)\n"
         )
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cmp-classical-rk4.csv"]
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "argv, member",
@@ -425,7 +425,7 @@ class TestExitCodes:
 
 
 class TestBuildOnce:
-    """_validate builds the system, tableau and stepper config; the subcommands reuse them."""
+    """_validate builds the system and stepper config; the subcommands reuse them."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -455,10 +455,9 @@ class TestBuildOnce:
         from isork.cli import _validate
         from isork.systems import ZeitlinSphere
 
-        system, tableau, cfg = _validate(RunConfig(system="zeitlin", N=5, method="custom", custom_b=(0.25, 0.75)))
+        system, cfg = _validate(RunConfig(system="zeitlin", N=5, method="custom", custom_b=(0.25, 0.75)))
         assert isinstance(system, ZeitlinSphere) and system.N == 5
-        assert tableau.b == (0.25, 0.75) and tableau.name == "custom"
-        assert cfg.tableau is tableau
+        assert cfg.tableau.b == (0.25, 0.75) and cfg.tableau.name == "custom"
 
 
 class TestConvergenceCommand:
@@ -583,7 +582,14 @@ class TestCompareCommand:
     def test_custom_without_weights_is_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["compare", "--h", "0.05", "--steps", "4", "--methods", "custom"]) == 2
-        assert "config error: compare method custom requires custom_b weights" in capsys.readouterr().err
+        assert "config error: custom_b: empty weight list" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_repeated_label_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # Rejected while the labels are resolved, before any method steps.
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "--steps", "3", "--methods", "midpoint,gawlik,midpoint"]) == 2
+        assert "config error: compare method 'midpoint' is listed more than once" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_csv_suffix_is_stripped_from_prefix(self, tmp_path, capsys):

@@ -413,6 +413,17 @@ class TestCsv:
         # NaN != NaN, so compare reprs.
         assert repr(read_csv(path)) == repr(records)
 
+    def test_numpy_scalar_fields_round_trip(self, tmp_path):
+        record = TrajectoryRecord(
+            step=np.int64(3), t=0.1, energy=np.float64(1.0), energy_drift=np.float64(-2e-17),
+            spectral_drift=0.0, casimir_values=(np.float64(0.5),), solver_iters_total=np.int64(7),
+            membership_residual=np.float64(1e-300),
+        )
+        path = tmp_path / "numpy.csv"
+        write_csv([record], path)
+        assert path.read_text().splitlines()[1] == "3,0.1,1.0,-2e-17,0.0,0.5,7,1e-300"
+        assert read_csv(path) == [record]
+
     def test_output_is_byte_deterministic(self, tmp_path):
         records, _ = self._records()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isork.quadlie import (
+    QuadraticStructure,
     SplitMix64,
     cayley,
     cayley_conjugate,
@@ -263,6 +264,17 @@ class TestMembershipAndSampling:
         assert np.array_equal(
             random_algebra_element(ctx, 3, 2.0), 2.0 * random_algebra_element(ctx, 3, 1.0)
         )
+
+    def test_symplectic_j_projection(self):
+        # J = [[0, I], [-I, 0]] is not the identity, so the sample is
+        # projected with a solve against J rather than antisymmetrized.
+        eye = np.eye(2)
+        ctx = QuadraticStructure(4, np.block([[0 * eye, eye], [-eye, 0 * eye]]))
+        assert not ctx.identity_j
+        x = random_algebra_element(ctx, 3)
+        assert membership_residuals(x, ctx)[1] < 1e-15
+        assert membership_residuals(cayley(x), ctx)[0] < 1e-14
+        assert np.array_equal(x, random_algebra_element(ctx, 3))
 
     def test_dtypes(self):
         assert random_algebra_element(orthogonal_structure(3), 0).dtype == np.float64

@@ -265,7 +265,7 @@ class TestZeitlinSystem:
         # w proportional to S3 is an l = 1 harmonic, so the stream
         # matrix is parallel to w and the bracket vanishes.
         sys = ZeitlinSphere(N=6)
-        w = 0.7 * sys.spin_generators[2]
+        w = 0.7 * zeitlin_spin_generators(sys.N)[2]
         assert np.linalg.norm(commutator(sys.B(w), w)) < 1e-12
 
     def test_energy_real_positive(self):

@@ -1,4 +1,4 @@
-"""Diagonal tableau definitions, parsing, and substep schedules."""
+"""Diagonal tableau definitions, weight checks, and substep schedules."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from isork.tableau import (
     SdirkTableau,
     builtin,
     order_conditions,
-    parse_custom,
 )
 
 
@@ -54,7 +53,7 @@ def test_order_conditions():
 
 
 class TestTableauChecksWeights:
-    """The weight rules hold for every SdirkTableau, not only for parsed text."""
+    """The weight rules hold for every SdirkTableau, however its weights were obtained."""
 
     @pytest.mark.parametrize(
         "b, match",
@@ -81,27 +80,6 @@ class TestTableauChecksWeights:
             "suzuki4": (v, v, 1.0 - 4.0 * v, v, v),
         }
         assert all(tab.name == name for name, tab in BUILTIN_TABLEAUS.items())
-
-
-class TestParseCustom:
-    def test_accepts_weights(self):
-        tab = parse_custom("0.5, 0.5")
-        assert tab.b == (0.5, 0.5)
-        assert tab.name == "custom"
-
-    def test_accepts_negative_interior(self):
-        b = builtin("yoshida4").b
-        tab = parse_custom(",".join(repr(w) for w in b))
-        assert tab.b == b
-
-    @pytest.mark.parametrize("text", ["", " , ", "0.5, oops", "1.0, 0.0", "nan", "inf, -inf"])
-    def test_rejects_malformed(self, text):
-        with pytest.raises(ValueError):
-            parse_custom(text)
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            parse_custom("0.5, 0.6")
 
 
 class TestSchedule:
