@@ -18,7 +18,8 @@ Exit codes: 0 success, 2 configuration or usage error, 3 stage solver
 non-convergence, 4 I/O failure, 5 numerical breakdown (a linear
 algebra failure, such as a singular Cayley solve, while stepping).
 The exit-3 and exit-5 lines name the step and stage and, for compare
-and convergence, end in the failing method or step size.
+and convergence, end in the failing method or step size; those two
+first print the stdout lines of the members that finished.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ class RunConfig:
     h: float = 0.01
     steps: int = 1000
     seed: int = 42
-    variant: str = "left"
-    update_form: str = "conjugation"
-    solver_tol: float = 1e-13
-    solver_max_iters: int = 200
+    variant: str = StepperConfig.variant
+    update_form: str = StepperConfig.update_form
+    solver_tol: float = StepperConfig.solver_tol
+    solver_max_iters: int = StepperConfig.solver_max_iters
     n: int = 4
     N: int = 17
     inertia: tuple[float, ...] = (1.0, 2.0, 3.0)
@@ -275,17 +276,24 @@ def cmd_run(config: RunConfig, system, cfg: StepperConfig) -> int:
     return 0
 
 
+def _error_table(report) -> str:
+    return "h,error\n" + "".join(f"{h!r},{err!r}\n" for h, err in zip(report.h_values, report.errors))
+
+
 def cmd_convergence(config: RunConfig, system, cfg: StepperConfig, h_list, t_final: float, reference_h) -> int:
     if len(h_list) < 3:
         raise ConfigError(f"need at least 3 step sizes for a slope fit, got {len(h_list)}")
     mu0 = _initial_state(system, config)
     try:
         report = convergence_study(system, h_list, t_final, reference_h, mu0=mu0, cfg=cfg)
-    except np.linalg.LinAlgError:
-        raise  # a numerical breakdown, not a config error, though also a ValueError
+    except (NonConvergenceError, np.linalg.LinAlgError) as exc:
+        # A stepping failure, not a config error, though a LinAlgError is also a ValueError.
+        if exc.partial.errors:
+            sys.stdout.write(_error_table(exc.partial))
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    table = "h,error\n" + "".join(f"{h!r},{err!r}\n" for h, err in zip(report.h_values, report.errors))
+    table = _error_table(report)
     sys.stdout.write(table)
     print(f"fitted slope: {report.fitted_slope:.4f}")
     if config.out:
@@ -322,27 +330,31 @@ def cmd_compare(config: RunConfig, system, cfg: StepperConfig, methods) -> int:
         try:
             runs[label] = run_recorded(system, mu0, replace(cfg, tableau=tableau), config.h, config.steps, kind)
         except (NonConvergenceError, np.linalg.LinAlgError) as exc:
+            if runs:
+                _print_comparison(config, runs, {})
             raise _located(exc, member=f"method {label}")
     # Every method has finished before the first CSV is written, so a failing compare leaves none.
-    results = []
+    paths = {label: f"{prefix}-{label}.csv" for label in runs}
     for label, records in runs.items():
-        path = f"{prefix}-{label}.csv"
-        write_csv(records, path)
-        results.append((label, _max_of(r.spectral_drift for r in records), path, _first_non_finite(records)))
-    reference = next(
-        (r for r in results if r[0] == "isospectral-midpoint"), results[0]
-    )
-    ref_drift = reference[1]
-    width = max(len(label) for label, *_ in results)
-    print(f"compare: system={config.system} h={config.h!r} steps={config.steps} seed={config.seed}")
-    print(f"{'method'.ljust(width)}  {'max spectral drift':>20}  {'ratio vs ' + reference[0]:>26}")
-    for label, drift, *_ in results:
-        ratio = drift / ref_drift if ref_drift != 0 else float("inf")
-        print(f"{label.ljust(width)}  {drift:>20.6e}  {ratio:>26.3e}")
-    for label, _, path, first in results:
-        print(f"first non-finite step ({label}): {first}")
-        print(f"wrote {path}")
+        write_csv(records, paths[label])
+    _print_comparison(config, runs, paths)
     return 0
+
+
+def _print_comparison(config: RunConfig, runs, paths) -> None:
+    """The drift table of the finished runs, each one's first non-finite step and, if written, its path."""
+    drifts = {label: _max_of(r.spectral_drift for r in records) for label, records in runs.items()}
+    reference = "isospectral-midpoint" if "isospectral-midpoint" in drifts else next(iter(drifts))
+    width = max(map(len, drifts))
+    print(f"compare: system={config.system} h={config.h!r} steps={config.steps} seed={config.seed}")
+    print(f"{'method'.ljust(width)}  {'max spectral drift':>20}  {'ratio vs ' + reference:>26}")
+    for label, drift in drifts.items():
+        ratio = drift / drifts[reference] if drifts[reference] != 0 else float("inf")
+        print(f"{label.ljust(width)}  {drift:>20.6e}  {ratio:>26.3e}")
+    for label, records in runs.items():
+        print(f"first non-finite step ({label}): {_first_non_finite(records)}")
+        if label in paths:
+            print(f"wrote {paths[label]}")
 
 
 def cmd_dump_config(config: RunConfig) -> int:

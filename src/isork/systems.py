@@ -66,27 +66,24 @@ def _float(value):
 
 
 def casimirs(w: np.ndarray, orders) -> list[float]:
-    """Trace Casimirs tr(w^k) for the requested k, as real numbers.
+    """Trace Casimirs tr(w^k) for the requested k >= 1, as real numbers.
 
-    Real input reports the trace itself.  Complex input reports the
-    real part for even k and the imaginary part for odd k: on
-    skew-Hermitian states tr(w^k) is real for even k and purely
-    imaginary for odd k, so the other part vanishes identically.  A
-    stack (..., n, n) gives the rows of an array (..., len(orders)).
+    One chain of products w, w^2, ..., w^max(orders) gives every power,
+    so orders may repeat or come in any order.  Real input reports the
+    trace itself.  Complex input reports the real part for even k and
+    the imaginary part for odd k: on skew-Hermitian states tr(w^k) is
+    real for even k and purely imaginary for odd k, so the other part
+    vanishes identically.  A stack (..., n, n) gives the rows of an
+    array (..., len(orders)).
     """
     odd_imag = np.iscomplexobj(w)
-    out = []
+    traces = {}
     p = np.eye(w.shape[-1], dtype=np.result_type(w.dtype, np.float64))
-    k_prev = 0
-    for k in orders:
-        if k < k_prev:
-            p = np.linalg.matrix_power(w, k)
-        else:
-            for _ in range(k - k_prev):
-                p = p @ w
-        k_prev = k
-        tr = _trace(p)
-        out.append(tr.imag if odd_imag and k % 2 else tr.real)
+    for k in range(1, max(orders, default=0) + 1):
+        p = p @ w
+        if k in orders:
+            traces[k] = _trace(p)
+    out = [traces[k].imag if odd_imag and k % 2 else traces[k].real for k in orders]
     return [float(c) for c in out] if w.ndim == 2 else np.stack(out, axis=-1)
 
 
@@ -183,10 +180,10 @@ def _lattice_size(n: int) -> int:
 def toda_lax_matrices(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Periodic Lax pair (L, B(L)) from diagonal and off-diagonal lists.
 
-    L is symmetric tridiagonal with a on the diagonal, b_1..b_{n-1} on
-    the off-diagonals, and b_n in the (1,n)/(n,1) corners; B(L) is its
-    skew counterpart with +b above the diagonal and the corner signs
-    flipped.
+    L is symmetric with a on the diagonal and b_i coupling site i to its
+    cyclic neighbour i+1 (mod n), so b_n sits in the (1,n)/(n,1)
+    corners; B(L) is its skew counterpart, +b_i at (i, i+1 mod n) and
+    -b_i at (i+1 mod n, i).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -194,21 +191,19 @@ def toda_lax_matrices(a, b) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("a and b must be equal-length 1-d lists")
     n = _lattice_size(a.size)
     lax = np.diag(a)
-    for i in range(n - 1):
-        lax[i, i + 1] = lax[i + 1, i] = b[i]
-    lax[0, n - 1] = lax[n - 1, 0] = b[n - 1]
+    i = np.arange(n)
+    lax[i, (i + 1) % n] = lax[(i + 1) % n, i] = b
     return lax, toda_extended_B(lax)
 
 
 @functools.lru_cache(maxsize=None)
 def _toda_sign_mask(n: int, scale: float = 1.0) -> np.ndarray:
     """scale times the +-1/0 pattern of toda_extended_B on n x n matrices."""
+    n = _lattice_size(n)
     mask = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    mask[idx, idx + 1] = scale
-    mask[idx + 1, idx] = -scale
-    mask[0, n - 1] = -scale
-    mask[n - 1, 0] = scale
+    i = np.arange(n)
+    mask[i, (i + 1) % n] = scale
+    mask[(i + 1) % n, i] = -scale
     mask.setflags(write=False)
     return mask
 
@@ -216,10 +211,10 @@ def _toda_sign_mask(n: int, scale: float = 1.0) -> np.ndarray:
 def toda_extended_B(w: np.ndarray) -> np.ndarray:
     """Entry mask sending w to its cyclic off-diagonal signed part.
 
-    Keeps the superdiagonal, negates the subdiagonal, and treats the
-    (1,n)/(n,1) corners periodically: B_{1,n} = -W_{1,n},
-    B_{n,1} = +W_{n,1}.  On symmetric w the result is skew-symmetric
-    and coincides with the classical Toda B(L).
+    Keeps each entry W_{i,i+1} towards the cyclic neighbour i+1 (mod n)
+    and negates each entry W_{i+1,i} back from it, so B_{n,1} = +W_{n,1}
+    and B_{1,n} = -W_{1,n}.  On symmetric w the result is skew-symmetric
+    and coincides with the classical Toda B(L).  n must be at least 3.
     """
     return w * _toda_sign_mask(w.shape[-1])
 
@@ -361,7 +356,8 @@ def _laplacian_pinv(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     w.ravel()[gather] is the (N//2 + 1, N, 2) array of wrapped diagonal
     k of w (column 0) and of w^T (column 1); x.ravel()[scatter] puts
-    such an array back as N x N.
+    such an array back as N x N from each entry's first slot in gather
+    (diagonal 0, and +-N/2 for even N, fill two slots that solve alike).
     """
     d, c = _laplacian_coefficients(N)
     rows = np.arange(N)
@@ -375,16 +371,7 @@ def _laplacian_pinv(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     stack = np.linalg.inv(stack)
     stack[0] -= 1.0 / N
     gather = np.stack([rows * N + cols, cols * N + rows], axis=-1)
-    # Entry (r, c) lies on diagonal t = c - r: at position r of w's
-    # wrapped diagonal t % N (a first half for 0 <= t <= N//2, a second
-    # for t < -N//2), otherwise at position c of w^T's wrapped diagonal
-    # -t % N (a first half for -N//2 <= t < 0, a second for t > N//2),
-    # so that t and -t always meet the same inverse block.
-    t = rows - rows[:, None]
-    from_w = (t >= 0) == (abs(t) <= N // 2)
-    k = np.where(from_w, t, -t) % N
-    position = np.where(from_w, rows[:, None], rows)
-    scatter = (k * N + position) * 2 + ~from_w
+    scatter = np.unique(gather, return_index=True)[1].reshape(N, N)
     for arr in (stack, gather, scatter):
         arr.setflags(write=False)
     return stack, gather, scatter

@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from isork import diagnostics
 from isork.cli import (
     ConfigError,
     RunConfig,
@@ -16,6 +17,8 @@ from isork.cli import (
     parse_config_file,
 )
 from isork.diagnostics import read_csv
+from isork.integrator import StepperConfig
+from isork.tableau import BUILTIN_TABLEAUS
 
 
 @pytest.fixture(autouse=True)
@@ -143,6 +146,14 @@ class TestPrecedence:
 
 
 class TestDumpConfig:
+    def test_defaults_agree_with_stepper_config(self):
+        # dump-config prints RunConfig's defaults; the stepper's are the same values.
+        run, stepper = RunConfig(), StepperConfig()
+        for f in fields(StepperConfig):
+            if f.name != "tableau":
+                assert getattr(run, f.name) == getattr(stepper, f.name)
+        assert BUILTIN_TABLEAUS[run.method] == stepper.tableau
+
     def test_round_trips_through_parser(self, tmp_path):
         config = RunConfig(system="zeitlin", N=5, h=0.0125, steps=7, custom_b=(0.5, 0.5))
         path = tmp_path / "dumped.cfg"
@@ -349,11 +360,23 @@ class TestExitCodes:
         assert err == ""
         assert "first non-finite step (classical-rk4): 4\n" in out
 
-    def test_io_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--steps", "2", "--h", "0.01"],
+            ["compare", "--steps", "2", "--h", "0.01", "--methods", "midpoint,gawlik"],
+            ["convergence", "--h-list", "0.2,0.1,0.05", "--t-final", "0.2"],
+        ],
+        ids=["run", "compare", "convergence"],
+    )
+    def test_io_error(self, argv, tmp_path, capsys):
+        # An --out (a prefix for compare) in a missing directory is found
+        # when the first file is opened, after stepping: exit 4, no file.
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
-        code = main(["run", "--steps", "2", "--h", "0.01", "--out", str(missing)])
+        code = main(argv + ["--out", str(missing)])
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_unreadable_config(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])
@@ -384,11 +407,19 @@ class TestExitCodes:
 
     def test_compare_names_the_failing_method(self, tmp_path, capsys, monkeypatch):
         # classical-rk4 finishes, midpoint's first Toda stage diverges at
-        # h = 0.3, and gawlik never runs; no CSV is written before all finish.
+        # h = 0.3, and gawlik never runs; no CSV is written before all finish,
+        # but the finished method's table rows are printed, without a wrote line.
         monkeypatch.chdir(tmp_path)
         argv = ["compare", "--system", "toda", "--h", "0.3", "--steps", "40"]
         assert main(argv + ["--methods", "classical-rk4,midpoint,gawlik", "--out", "cmp"]) == 3
-        assert capsys.readouterr().err == (
+        out, err = capsys.readouterr()
+        assert out == (
+            "compare: system=toda h=0.3 steps=40 seed=42\n"
+            "method           max spectral drift      ratio vs classical-rk4\n"
+            "classical-rk4                   nan                         nan\n"
+            "first non-finite step (classical-rk4): 4\n"
+        )
+        assert err == (
             "solver error: stage solve did not converge at step 0 stage 0: "
             "residual inf after 23 iterations (for method midpoint)\n"
         )
@@ -404,9 +435,29 @@ class TestExitCodes:
     )
     def test_convergence_names_the_failing_step_size(self, argv, member, capsys):
         assert main(["convergence"] + argv) == 3
-        [err] = capsys.readouterr().err.splitlines()
+        out, err = capsys.readouterr()
+        [err] = err.splitlines()
         assert err.startswith("solver error: stage solve did not converge at step 0 stage 0: ")
         assert err.endswith(f" (for {member})")
+        assert out == ""  # no step size finished
+
+    def test_convergence_prints_the_finished_step_sizes(self, capsys, monkeypatch):
+        # A singular solve in the h = 0.1 run, after the reference and the h = 0.2 run.
+        argv = ["convergence", "--h-list", "0.2,0.1,0.05", "--t-final", "1.0"]
+        assert main(argv) == 0
+        full = capsys.readouterr().out.splitlines()
+        real_step = diagnostics.isospectral_sdirk_step
+
+        def singular_at_h_0_1(mu, system, cfg, h):
+            if h == 0.1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_step(mu, system, cfg, h)
+
+        monkeypatch.setattr(diagnostics, "isospectral_sdirk_step", singular_at_h_0_1)
+        assert main(argv) == 5
+        out, err = capsys.readouterr()
+        assert out.splitlines() == full[:2] and full[0] == "h,error"
+        assert err == "numerical error at step 0: Singular matrix (for h = 0.1)\n"
 
     @pytest.mark.parametrize(
         "argv",

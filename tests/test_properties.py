@@ -273,7 +273,7 @@ def test_stacked_measurements_equal_each_matrix(case):
 
 
 @SEEDED
-@given(norm_stacks(), st.sampled_from([(2,), (2, 3, 4), (3, 2), (2, 5, 3)]))
+@given(norm_stacks(), st.sampled_from([(2,), (2, 3, 4), (3, 2), (2, 5, 3), (3, 2, 3)]))
 def test_stacked_casimirs_equal_each_matrix(stack, orders):
     got = casimirs(stack, orders)
     assert got.shape == stack.shape[:-2] + (len(orders),)

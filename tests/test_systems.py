@@ -15,6 +15,7 @@ from isork.systems import (
     ZeitlinSphere,
     _apply_laplacian_pinv,
     _laplacian_coefficients,
+    _laplacian_pinv,
     casimirs,
     toda_extended_B,
     toda_extended_H,
@@ -79,8 +80,9 @@ def _per_diagonal_laplacian_inv(w):
 def test_casimir_traces():
     w = np.diag([1.0, 2.0, 3.0])
     assert casimirs(w, (2, 3)) == [14.0, 36.0]
-    # Descending order lists still come out right (power cache resets).
+    # Descending and repeated orders come out of the same power chain.
     assert casimirs(w, (3, 2)) == [36.0, 14.0]
+    assert casimirs(w, (3, 2, 3)) == [36.0, 14.0, 36.0]
 
 
 class TestRigidBody:
@@ -167,10 +169,12 @@ class TestToda:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             TodaExtended(n=2)
+        with pytest.raises(ValueError, match="n must be at least 3, got 2"):
+            toda_extended_B(np.ones((2, 2)))
 
     def test_mask_product_matches_scatter(self):
         rng = np.random.default_rng(3)
-        for n in range(3, 7):
+        for n in range(3, 9):
             sys = TodaExtended(n=n)
             for _ in range(20):
                 w = rng.standard_normal((n, n))
@@ -207,6 +211,11 @@ class TestZeitlinOperators:
         for N in (3, 5, 8):
             for s_k in zeitlin_spin_generators(N):
                 assert np.linalg.norm(zeitlin_laplacian(s_k) - 2.0 * s_k) < 1e-12
+
+    def test_scatter_inverts_gather(self):
+        for N in [*range(2, 71), 128]:
+            _, gather, scatter = _laplacian_pinv(N)
+            assert np.array_equal(gather.ravel()[scatter], np.arange(N * N).reshape(N, N))
 
     def test_inverse_round_trip(self):
         ctx = ZeitlinSphere(N=7).context
