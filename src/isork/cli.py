@@ -281,8 +281,10 @@ def _error_table(report) -> str:
 
 
 def cmd_convergence(config: RunConfig, system, cfg: StepperConfig, h_list, t_final: float, reference_h) -> int:
-    if len(h_list) < 3:
-        raise ConfigError(f"need at least 3 step sizes for a slope fit, got {len(h_list)}")
+    distinct = len(set(h_list))
+    if distinct < 3:
+        repeats = " distinct" if distinct < len(h_list) else ""
+        raise ConfigError(f"need at least 3 step sizes for a slope fit, got {distinct}{repeats}")
     mu0 = _initial_state(system, config)
     try:
         report = convergence_study(system, h_list, t_final, reference_h, mu0=mu0, cfg=cfg)

@@ -39,7 +39,7 @@ from .integrator import (
     gawlik_step,
     isospectral_sdirk_step,
 )
-from .quadlie import spectrum
+from .quadlie import _frobenius, spectrum
 
 __all__ = [
     "TrajectoryRecord",
@@ -189,9 +189,9 @@ def _step_count(t_final: float, h: float) -> int:
 
 
 def _report(h_values, errors) -> ConvergenceReport:
-    """The report over the first len(errors) step sizes; slope NaN below two points."""
+    """The report over the first len(errors) step sizes; slope NaN below two distinct step sizes."""
     h_values = tuple(h_values[: len(errors)])
-    slope = float(np.polyfit(np.log(h_values), np.log(errors), 1)[0]) if len(errors) >= 2 else math.nan
+    slope = float(np.polyfit(np.log(h_values), np.log(errors), 1)[0]) if len(set(h_values)) >= 2 else math.nan
     return ConvergenceReport(h_values, tuple(errors), slope)
 
 
@@ -210,16 +210,16 @@ def convergence_study(
     duplicates kept) and at reference_h (default min(h_list)/8, and
     never allowed coarser than that), then reports final-state
     Frobenius errors against the reference and the least-squares slope
-    of log error vs log h.  t_final, the step sizes and reference_h
-    must be positive and finite, and every step size must divide
-    t_final; all of them are checked, the reference's first, before
-    the first step is taken.
+    of log error vs log h (NaN below two distinct step sizes).  t_final,
+    the step sizes and reference_h must be positive and finite, and
+    every step size must divide t_final; all of them are checked, the
+    reference's first, before the first step is taken.
 
     A sweep member's NonConvergenceError or StageLinAlgError aborts the
     study with the failing step size set in place as its `member`
     ("reference_h = ..." or "h = ..."), carrying the report of the
     completed members in its `partial` attribute (slope NaN when fewer
-    than two points finished).
+    than two distinct step sizes finished).
     """
     h_values = sorted((float(h) for h in h_list), reverse=True)
     if len(h_values) < 2:
@@ -245,7 +245,7 @@ def convergence_study(
         mu_ref = _final_state(mu0, system, cfg, reference_h, n_ref)
         for h, n in zip(h_values, counts):
             member = f"h = {h!r}"
-            errors.append(float(np.linalg.norm(_final_state(mu0, system, cfg, h, n) - mu_ref)))
+            errors.append(_frobenius(_final_state(mu0, system, cfg, h, n) - mu_ref))
     except (NonConvergenceError, np.linalg.LinAlgError) as exc:
         exc.partial = _report(h_values, errors)
         raise _located(exc, member=member)

@@ -453,7 +453,7 @@ def cotangent_sdirk_step(state: CotangentState, system, cfg: StepperConfig, h: f
 # --- baselines ------------------------------------------------------------
 
 
-def gawlik_step(mu_tilde, h: float, system, cfg: StepperConfig | None = None):
+def gawlik_step(mu_tilde, h: float, system, cfg: StepperConfig = StepperConfig()):
     """Cayley implicit half-step update; returns (mu_next, [StageState]).
 
     Solves dcay_inv(h B(m+), m+) = dcay_inv(-h B(m), m) for the next
@@ -462,8 +462,6 @@ def gawlik_step(mu_tilde, h: float, system, cfg: StepperConfig | None = None):
     stage's matrix and its half point.  Symplectic but not isospectral:
     the update is not a similarity transform, so eigenvalues drift.
     """
-    if cfg is None:
-        cfg = StepperConfig()
     # A step too large overflows the explicit side or the tolerance scale;
     # _fixed_point raises on the non-finite residual, so silence the warnings.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -109,6 +109,16 @@ class QuadraticStructure:
     def identity_j(self) -> bool:
         return bool(np.array_equal(self.J, np.eye(self.n)))
 
+    def algebra_residual(self, x: np.ndarray):
+        """||J x + x^dagger J||_F, plus |trace x| when traceless: a float, or an array (...) for a stack."""
+        # J = I skips the products, which would turn an inf entry into NaN (0 * inf).
+        xd = x.conj().mT
+        residual = _frobenius(x + xd if self.identity_j else self.J @ x + xd @ self.J)
+        if self.traceless:
+            trace = _trace(x)
+            residual = residual + np.hypot(trace.real, trace.imag)
+        return float(residual) if x.ndim == 2 else residual
+
 
 def orthogonal_structure(n: int) -> QuadraticStructure:
     """Context for so(n): real matrices with xi + xi^T = 0."""
@@ -126,11 +136,16 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def frobenius_pairing(a: np.ndarray, b: np.ndarray):
     """Frobenius pairing <a, b> = trace(a^dagger b)."""
-    return np.trace(np.asarray(a).conj().T @ b)
+    return _trace(np.asarray(a).conj().T @ b)
+
+
+def _trace(w: np.ndarray):
+    # A contiguous copy sums each diagonal as np.trace does; an F-ordered stack in place would not.
+    return np.ascontiguousarray(np.diagonal(w, 0, -2, -1)).sum(-1)
 
 
 def _frobenius(x: np.ndarray):
-    """np.linalg.norm(x) without its wrapper: a float, or an array (...) for a stack (..., n, n).
+    """numpy.linalg.norm of x without its wrapper: a float, or an array (...) for a stack (..., n, n).
 
     Sums as norm does, in ravel(order="K") order (each matrix's own in a
     stack), with one dot each of the real and imaginary parts.
@@ -233,17 +248,11 @@ def membership_residuals(x: np.ndarray, context: QuadraticStructure) -> tuple[fl
     """Frobenius residuals of x against the group and algebra conditions.
 
     Returns (group_residual, algebra_residual) where the group residual
-    is ||x^dagger J x - J||_F and the algebra residual is
-    ||J x + x^dagger J||_F, plus |trace x| when the context is
-    traceless.  Pure measurement; nothing is enforced.
+    is ||x^dagger J x - J||_F and the algebra residual is the context's
+    `algebra_residual`.  Pure measurement; nothing is enforced.
     """
-    j = context.J
-    xd = np.asarray(x).conj().T
-    group = float(np.linalg.norm(xd @ j @ x - j))
-    algebra = float(np.linalg.norm(j @ x + xd @ j))
-    if context.traceless:
-        algebra += abs(complex(np.trace(x)))
-    return group, algebra
+    x = np.asarray(x)
+    return _frobenius(x.conj().T @ context.J @ x - context.J), context.algebra_residual(x)
 
 
 def random_algebra_element(context: QuadraticStructure, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -267,5 +276,5 @@ def random_algebra_element(context: QuadraticStructure, seed: int, scale: float 
     else:
         x = (raw - np.linalg.solve(context.J, raw.conj().T @ context.J)) / 2.0
     if context.traceless:
-        x = x - (np.trace(x) / n) * np.eye(n, dtype=x.dtype)
+        x = x - (_trace(x) / n) * np.eye(n, dtype=x.dtype)
     return x

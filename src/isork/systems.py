@@ -35,6 +35,7 @@ import numpy as np
 from .quadlie import (
     QuadraticStructure,
     _frobenius,
+    _trace,
     orthogonal_structure,
     random_algebra_element,
     special_unitary_structure,
@@ -53,11 +54,6 @@ __all__ = [
     "zeitlin_laplacian_inv",
     "casimirs",
 ]
-
-
-def _trace(w: np.ndarray):
-    # A contiguous copy sums each diagonal as np.trace does; an F-ordered stack in place would not.
-    return np.ascontiguousarray(np.diagonal(w, 0, -2, -1)).sum(-1)
 
 
 def _float(value):
@@ -91,12 +87,15 @@ class IsospectralSystem:
     """Shared surface of the benchmark systems.
 
     Subclasses set `name`, `n`, `context`, `casimir_orders` and
-    implement `hamiltonian`, `grad_hamiltonian`, `initial_state`.
-    `hamiltonian`, `casimirs` and `state_residual` also take a stack
-    (..., n, n), giving arrays (...), (..., k), (...).  The flow
-    generator defaults to B = (grad H)^dagger; systems whose
-    energy contains a Casimir summand may override B to drop that part,
-    since a Casimir gradient commutes with the state and cannot move it.
+    implement `hamiltonian` and `grad_hamiltonian`.  `state_residual`
+    and `initial_state` default to the context's `algebra_residual` and
+    seeded `random_algebra_element`; a system whose states are not in
+    that algebra overrides both.  `hamiltonian`, `casimirs` and
+    `state_residual` also take a stack (..., n, n), giving arrays (...),
+    (..., k), (...).  The flow generator defaults to B = (grad H)^dagger;
+    systems whose energy contains a Casimir summand may override B to
+    drop that part, since a Casimir gradient commutes with the state and
+    cannot move it.
     """
 
     name: str = ""
@@ -118,10 +117,10 @@ class IsospectralSystem:
 
     def state_residual(self, w: np.ndarray) -> float:
         """Frobenius residual of w against the system's state structure."""
-        raise NotImplementedError
+        return self.context.algebra_residual(w)
 
     def initial_state(self, seed: int, scale: float = 1.0) -> np.ndarray:
-        raise NotImplementedError
+        return random_algebra_element(self.context, seed, scale)
 
 
 # --- rigid body ---------------------------------------------------------
@@ -160,12 +159,6 @@ class RigidBody(IsospectralSystem):
         # float_power rounds as float ** 2 does (libm pow); array ** 2 squares.
         return [_frobenius(w) ** 2] if w.ndim == 2 else np.float_power(_frobenius(w), 2.0)[..., None]
 
-    def state_residual(self, w: np.ndarray) -> float:
-        return _frobenius(w + w.mT)
-
-    def initial_state(self, seed: int, scale: float = 1.0) -> np.ndarray:
-        return random_algebra_element(self.context, seed, scale)
-
 
 # --- periodic Toda, extended to gl(n) -----------------------------------
 
@@ -197,13 +190,13 @@ def toda_lax_matrices(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _toda_sign_mask(n: int, scale: float = 1.0) -> np.ndarray:
-    """scale times the +-1/0 pattern of toda_extended_B on n x n matrices."""
+def _toda_sign_mask(n: int) -> np.ndarray:
+    """The +-1/0 pattern of toda_extended_B on n x n matrices."""
     n = _lattice_size(n)
     mask = np.zeros((n, n))
     i = np.arange(n)
-    mask[i, (i + 1) % n] = scale
-    mask[(i + 1) % n, i] = -scale
+    mask[i, (i + 1) % n] = 1.0
+    mask[(i + 1) % n, i] = -1.0
     mask.setflags(write=False)
     return mask
 
@@ -251,6 +244,7 @@ class TodaExtended(IsospectralSystem):
         self.n = n = _lattice_size(int(n))
         self.context = orthogonal_structure(n)
         self.casimir_orders = tuple(range(2, n + 1))
+        self._b_mask = 2.0 * _toda_sign_mask(n)
 
     def hamiltonian(self, w: np.ndarray) -> float:
         return toda_extended_H(w)
@@ -259,7 +253,7 @@ class TodaExtended(IsospectralSystem):
         return -2.0 * toda_extended_B(w) + 4.0 * w.T
 
     def B(self, w: np.ndarray) -> np.ndarray:
-        return w.T * _toda_sign_mask(w.shape[0], 2.0)
+        return w.T * self._b_mask
 
     def state_residual(self, w: np.ndarray) -> float:
         return _frobenius(w - w.mT)
@@ -383,8 +377,8 @@ def zeitlin_laplacian_inv(w: np.ndarray) -> np.ndarray:
     Raises ValueError when the input has a trace beyond roundoff scale,
     since the identity component is not in the operator's range.
     """
-    trace_residual = abs(complex(np.trace(w)))
-    if trace_residual > 1e-10 * (1.0 + float(np.linalg.norm(w))):
+    trace_residual = abs(complex(_trace(w)))
+    if trace_residual > 1e-10 * (1.0 + _frobenius(w)):
         raise ValueError(f"inverse Laplacian needs traceless input (|tr| = {trace_residual:.3e})")
     return _apply_laplacian_pinv(w)
 
@@ -466,10 +460,6 @@ class ZeitlinSphere(IsospectralSystem):
         stream = self._stream(w)
         return np.conjugate(stream, out=stream).T
 
-    def state_residual(self, w: np.ndarray) -> float:
-        trace = _trace(w)
-        return _float(_frobenius(w + w.conj().mT) + np.hypot(trace.real, trace.imag))
-
     def initial_state(self, seed: int, scale: float = 1.0) -> np.ndarray:
         w = random_algebra_element(self.context, seed, 1.0)
-        return scale * (w / np.linalg.norm(w))
+        return scale * (w / _frobenius(w))

@@ -530,6 +530,15 @@ class TestConvergenceCommand:
         assert code == 2
         assert "3 step sizes" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h_list", ["0.1,0.1,0.1", "0.2,0.1,0.1"])
+    def test_repeated_step_sizes_count_once(self, h_list, capsys):
+        code = main(["convergence", "--system", "rigidbody", "--h-list", h_list, "--t-final", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "3 step sizes" in captured.err and "Warning" not in captured.err
+
     def test_non_divisible_h_is_config_error(self, capsys):
         code = main(["convergence", "--h-list", "0.3,0.2,0.1", "--t-final", "1.0"])
         assert code == 2

@@ -262,10 +262,12 @@ class TestConvergenceStudy:
         assert all(e > 0 for e in report.errors)
         assert 1.8 < report.fitted_slope < 2.2
 
-    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+    @pytest.mark.filterwarnings("error")
     def test_duplicate_h_gives_identical_errors(self):
+        # One distinct step size fits no slope; polyfit is not called.
         report = convergence_study(RigidBody(), [0.1, 0.1], 0.5)
         assert report.errors[0] == report.errors[1]
+        assert math.isnan(report.fitted_slope)
 
     def test_input_validation(self):
         cases = [

@@ -6,6 +6,8 @@ import pytest
 from isork.quadlie import (
     QuadraticStructure,
     SplitMix64,
+    _frobenius,
+    _trace,
     cayley,
     cayley_conjugate,
     commutator,
@@ -275,6 +277,54 @@ class TestMembershipAndSampling:
         assert membership_residuals(x, ctx)[1] < 1e-15
         assert membership_residuals(cayley(x), ctx)[0] < 1e-14
         assert np.array_equal(x, random_algebra_element(ctx, 3))
+
+    @staticmethod
+    def _former_state_residual(x, traceless):
+        """RigidBody's and ZeitlinSphere's own state_residual, for one matrix or a stack."""
+        if not traceless:
+            return _frobenius(x + x.mT)
+        trace = _trace(x)
+        return _frobenius(x + x.conj().mT) + np.hypot(trace.real, trace.imag)
+
+    @pytest.mark.parametrize("structure", [orthogonal_structure, special_unitary_structure])
+    def test_algebra_residual_equals_the_former_formulas(self, structure):
+        # The membership formula with J and the systems' own formulas, on
+        # single matrices and on stacks, for states a little off the algebra.
+        for n in range(3, 34):
+            ctx = structure(n)
+            states = []
+            for seed in range(32):
+                x = random_algebra_element(ctx, seed) + 1e-3 * SplitMix64(seed + 99).uniform((n, n))
+                if ctx.traceless:
+                    x = x + 1e-3j * SplitMix64(seed + 199).uniform((n, n))
+                states.append(x)
+                membership = float(np.linalg.norm(ctx.J @ x + x.conj().T @ ctx.J))
+                if ctx.traceless:
+                    membership += abs(complex(np.trace(x)))
+                own = float(self._former_state_residual(x, ctx.traceless))
+                got = ctx.algebra_residual(x)
+                assert repr(got) == repr(membership_residuals(x, ctx)[1]) == repr(membership) == repr(own)
+            stack = np.stack(states)
+            got = ctx.algebra_residual(stack)
+            assert got.tobytes() == self._former_state_residual(stack, ctx.traceless).tobytes()
+            assert [repr(float(r)) for r in got] == [repr(ctx.algebra_residual(x)) for x in states]
+
+    @pytest.mark.parametrize("ctx", [orthogonal_structure(3), special_unitary_structure(3)])
+    def test_algebra_residual_keeps_an_inf_state_inf(self, ctx):
+        # A product with J = I would read 0 * inf = NaN.
+        x = np.zeros((3, 3), dtype=ctx.dtype)
+        x[0, 1] = np.inf
+        assert ctx.algebra_residual(x) == np.inf
+        with np.errstate(invalid="ignore"):  # the group residual's products meet 0 * inf
+            assert membership_residuals(x, ctx)[1] == np.inf
+        assert ctx.algebra_residual(np.stack([x, np.zeros_like(x)])).tolist() == [np.inf, 0.0]
+
+    def test_algebra_residual_with_symplectic_j(self):
+        eye = np.eye(2)
+        ctx = QuadraticStructure(4, np.block([[0 * eye, eye], [-eye, 0 * eye]]))
+        for seed in range(20):
+            x = SplitMix64(seed).uniform((4, 4))
+            assert ctx.algebra_residual(x) == np.linalg.norm(ctx.J @ x + x.T @ ctx.J)
 
     def test_dtypes(self):
         assert random_algebra_element(orthogonal_structure(3), 0).dtype == np.float64

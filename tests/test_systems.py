@@ -180,6 +180,7 @@ class TestToda:
                 w = rng.standard_normal((n, n))
                 assert np.array_equal(toda_extended_B(w), _scatter_toda_B(w))
                 assert np.array_equal(sys.B(w), 2.0 * _scatter_toda_B(w.T))
+                assert sys.B(w).tobytes() == (2.0 * toda_extended_B(w.T)).tobytes()
                 assert toda_extended_B(w).dtype == _scatter_toda_B(w).dtype
 
     def test_initial_state_alternates(self):
