@@ -5,12 +5,13 @@ steppers are supposed to control: energy relative to the initial
 state, the max-abs change of the canonically ordered spectrum, the
 trace Casimirs, the structural membership residual, and the total
 fixed-point work.  Spectra are paired across time by canonical
-sorting against the stored initial spectrum, not by continuous
+sorting against the initial spectrum, not by continuous
 tracking: the integrators conserve spectra, so the sorted order is
 stable, and the clustered tie-handling in `spectrum` keeps conjugate
 pairs from swapping under roundoff.  Recorded states are measured in
 blocks of up to 64 states and 2 MiB, one `spectrum` and one system
 call per quantity per block; the values are those of one call per state.
+Step 0 is measured in the first block, and its row is the reference.
 
 Recorded runs and convergence sweeps hand a step callable (the
 isospectral stepper or either baseline) to the integrator's single
@@ -93,35 +94,37 @@ class ConvergenceReport:
 
 
 class Recorder:
-    """Caches the initial spectrum and energy of a trajectory being recorded.
+    """Measures recorded states against the first state it records.
 
     `record` stacks a block of states once and measures it with one
     call each of `spectrum` and the system's `hamiltonian`, `casimirs`
-    and `state_residual`.
+    and `state_residual`; the first state's row sets `spectrum0` and `energy0`.
     """
 
-    def __init__(self, system, mu0):
+    def __init__(self, system):
         self.system = system
-        self.energy0 = float(system.hamiltonian(mu0))
-        self.spectrum0 = spectrum(mu0)
+        self.spectrum0 = self.energy0 = None
 
     def record(self, points, h: float = 0.0) -> list[TrajectoryRecord]:
         """One record per (step, mu_n, solver_iters) in the list points, in order."""
         # A block that mixes dtypes (stacking would promote a real state) or
         # fails its eigensolve is redone state by state, so only a failing state reads NaN.
-        drifts = None
+        spectra = None
         if len({p[1].dtype for p in points}) == 1:
             stack = np.stack([p[1] for p in points])
             try:
-                drifts = np.max(np.abs(spectrum(stack) - self.spectrum0), axis=-1).tolist()
+                spectra = spectrum(stack)
             except np.linalg.LinAlgError:
-                drifts = [math.nan] if len(points) == 1 else None
-        if drifts is None:
+                spectra = np.full(stack.shape[:-1], math.nan) if len(points) == 1 else None
+        if spectra is None:
             return [r for p in points for r in self.record([p], h)]
         system = self.system
         energies, casimirs, residuals = (
             f(stack).tolist() for f in (system.hamiltonian, system.casimirs, system.state_residual)
         )
+        if self.spectrum0 is None:
+            self.spectrum0, self.energy0 = spectra[0], energies[0]
+        drifts = np.max(np.abs(spectra - self.spectrum0), axis=-1).tolist()
         return [
             TrajectoryRecord(step=step, t=step * h, energy=e, energy_drift=e - self.energy0, spectral_drift=d,
                              casimir_values=tuple(c), solver_iters_total=iters, membership_residual=r)
@@ -159,7 +162,7 @@ def run_recorded(
         step = lambda mu: gawlik_step(mu, h, system, cfg)
     else:
         step = lambda mu: (classical_rk4_step(mu, h, system), [])
-    rec = Recorder(system, mu0)
+    rec = Recorder(system)
     records, block, nbytes = [], [], 0
     for n, mu, stages in _drive(step, mu0, n_steps):
         if n % record_every == 0 or n == n_steps:
@@ -183,7 +186,7 @@ def _step_count(t_final: float, h: float) -> int:
     if not math.isfinite(steps):
         raise ValueError(f"step size h = {h} is too small: t_final / h = {steps} is not finite")
     n = round(steps)
-    if n < 1 or abs(n * h - t_final) > 1e-9 * max(1.0, abs(t_final)):
+    if n < 1 or abs(n * h - t_final) > 1e-9 * abs(t_final):
         raise ValueError(f"t_final = {t_final} is not an integer multiple of h = {h}")
     return n
 
@@ -221,13 +224,14 @@ def convergence_study(
     completed members in its `partial` attribute (slope NaN when fewer
     than two distinct step sizes finished).
     """
+    h_list = list(h_list)
     h_values = sorted((float(h) for h in h_list), reverse=True)
     if len(h_values) < 2:
         raise ValueError("need at least two step sizes to fit a slope")
     if not 0 < t_final < math.inf:
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
     if not all(0 < h < math.inf for h in h_values):
-        raise ValueError(f"h_list step sizes must be positive and finite, got {list(h_list)}")
+        raise ValueError(f"h_list step sizes must be positive and finite, got {h_list}")
     h_min = h_values[-1]
     if reference_h is None:
         reference_h = h_min / 8.0

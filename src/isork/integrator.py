@@ -306,6 +306,11 @@ def solve_stage(mu_prev, h_i: float, system, cfg: StepperConfig) -> StageState:
     return StageState(mu_half=mu_half, mu_stage=mu_c, iters=iters, residual=residual)
 
 
+def _check_step_size(h: float) -> None:
+    if h == 0.0 or not math.isfinite(h):
+        raise ValueError(f"step size must be finite and nonzero, got {h}")
+
+
 def _chain(substage, x, cfg: StepperConfig, h: float):
     """The substage chain of one macro step of size h.
 
@@ -313,8 +318,7 @@ def _chain(substage, x, cfg: StepperConfig, h: float):
     (x, [stage, ...]).  A failing substage's NonConvergenceError or
     LinAlgError leaves through `_located` with stage=i set in place.
     """
-    if h == 0.0:
-        raise ValueError("step size must be nonzero")
+    _check_step_size(h)
     stages = []
     for i, w in enumerate(cfg.tableau.b):
         try:
@@ -462,6 +466,7 @@ def gawlik_step(mu_tilde, h: float, system, cfg: StepperConfig = StepperConfig()
     stage's matrix and its half point.  Symplectic but not isospectral:
     the update is not a similarity transform, so eigenvalues drift.
     """
+    _check_step_size(h)
     # A step too large overflows the explicit side or the tolerance scale;
     # _fixed_point raises on the non-finite residual, so silence the warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -472,6 +477,7 @@ def gawlik_step(mu_tilde, h: float, system, cfg: StepperConfig = StepperConfig()
 
 def classical_rk4_step(mu, h: float, system):
     """Explicit RK4 on mu_dot = [B(mu), mu], ignoring all structure."""
+    _check_step_size(h)
 
     def f(x):
         return commutator(system.B(x), x)

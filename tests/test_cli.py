@@ -543,6 +543,14 @@ class TestConvergenceCommand:
         code = main(["convergence", "--h-list", "0.3,0.2,0.1", "--t-final", "1.0"])
         assert code == 2
 
+    def test_non_divisible_h_of_a_small_t_final_is_config_error(self, capsys):
+        # 1e-10 / 4e-11 rounds to 3 steps, which end at 1.2e-10.
+        argv = ["convergence", "--system", "rigidbody", "--h-list", "4e-11,2e-11,1e-11", "--t-final", "1e-10"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not an integer multiple of h = 4e-11" in captured.err
+
     def test_infinite_t_final_is_config_error(self, capsys):
         code = main(["convergence", "--h-list", "0.2,0.1,0.05", "--t-final", "inf"])
         assert code == 2

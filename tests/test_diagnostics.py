@@ -34,9 +34,8 @@ from isork.tableau import builtin
 from test_quadlie import _loop_spectrum
 
 
-def _per_state_record(rec, mu0, mu_n, solver_iters, step, h):
+def _per_state_record(system, energy0, mu0, mu_n, solver_iters, step, h):
     """The record body before blocks: one loop-clustered spectrum per state."""
-    system = rec.system
     energy = float(system.hamiltonian(mu_n))
     try:
         drift = float(np.max(np.abs(_loop_spectrum(mu_n) - _loop_spectrum(mu0))))
@@ -46,7 +45,7 @@ def _per_state_record(rec, mu0, mu_n, solver_iters, step, h):
         step=step,
         t=step * h,
         energy=energy,
-        energy_drift=energy - rec.energy0,
+        energy_drift=energy - energy0,
         spectral_drift=drift,
         casimir_values=tuple(float(c) for c in system.casimirs(mu_n)),
         solver_iters_total=solver_iters,
@@ -75,9 +74,10 @@ def _per_state_run(system, mu0, h, n_steps, method, record_every=1):
         "gawlik": lambda mu: gawlik_step(mu, h, system, cfg),
         "rk4": lambda mu: (classical_rk4_step(mu, h, system), []),
     }[method]
-    rec = Recorder(system, mu0)
+    # The reference is measured here, state by state, not read off a Recorder.
+    energy0 = float(system.hamiltonian(mu0))
     return [
-        _per_state_record(rec, mu0, mu, sum(s.iters for s in stages), n, h)
+        _per_state_record(system, energy0, mu0, mu, sum(s.iters for s in stages), n, h)
         for n, mu, stages in _drive(step, mu0, n_steps)
         if n % record_every == 0 or n == n_steps
     ]
@@ -87,7 +87,7 @@ class TestRecord:
     def test_initial_point_has_zero_drifts(self):
         sys = RigidBody()
         mu0 = sys.initial_state(0)
-        [r] = Recorder(sys, mu0).record([(0, mu0, 0)])
+        [r] = Recorder(sys).record([(0, mu0, 0)])
         assert r.step == 0 and r.t == 0.0
         assert r.energy_drift == 0.0
         assert r.spectral_drift == 0.0
@@ -99,25 +99,30 @@ class TestRecord:
         mu0 = sys.initial_state(1)
         q = cayley(random_algebra_element(sys.context, 9))
         moved = q @ mu0 @ q.T
-        [r] = Recorder(sys, mu0).record([(3, moved, 0)], h=0.5)
+        rec = Recorder(sys)
+        rec.record([(0, mu0, 0)])
+        [r] = rec.record([(3, moved, 0)], h=0.5)
         assert r.spectral_drift < 1e-13
         assert r.t == 1.5
 
     def test_recorder_matches_one_shot(self):
-        # A Recorder reused along a trajectory gives what a fresh one
-        # gives for each point: the cached initial data is all it keeps.
+        # A Recorder reused along a trajectory gives what a fresh one that
+        # recorded only mu0 gives for each point: the reference is all it keeps.
         sys = ZeitlinSphere(N=5)
         mu0 = sys.initial_state(2)
         st = solve_stage(mu0, 0.05, sys, StepperConfig())
-        rec = Recorder(sys, mu0)
+        rec, fresh = Recorder(sys), Recorder(sys)
         rec.record([(0, mu0, 0)])
-        point = [(1, st.mu_half, st.iters)]
-        assert rec.record(point, h=0.05) == Recorder(sys, mu0).record(point, h=0.05)
+        rec.record([(1, st.mu_half, st.iters)], h=0.05)
+        fresh.record([(0, mu0, 0)])
+        point = [(2, st.mu_stage, st.iters)]
+        assert rec.record(point, h=0.05) == fresh.record(point, h=0.05)
 
     def test_eigensolver_failure_is_flagged_not_raised(self, monkeypatch):
         sys = RigidBody()
         mu0 = sys.initial_state(0)
-        rec = Recorder(sys, mu0)  # caches spectrum0 before the patch
+        rec = Recorder(sys)
+        rec.record([(0, mu0, 0)])  # measures spectrum0 before the patch
 
         def explode(a):
             raise np.linalg.LinAlgError("no convergence")
@@ -126,6 +131,36 @@ class TestRecord:
         [r] = rec.record([(1, mu0, 0)], h=0.1)
         assert math.isnan(r.spectral_drift)
         assert r.energy_drift == 0.0
+
+    def test_first_recorded_state_is_the_reference(self, monkeypatch):
+        # Building a Recorder measures nothing; the first record's row of
+        # the block's calls is the reference, by value that of mu0 alone.
+        sys = ZeitlinSphere(N=5)
+        mu0 = sys.initial_state(4)
+        moved = mu0 + 0.01 * sys.initial_state(5)
+        calls = _count_calls(sys, monkeypatch)
+        rec = Recorder(sys)
+        assert rec.spectrum0 is None and rec.energy0 is None
+        assert all(shapes == [] for shapes in calls.values())
+        first, second = rec.record([(0, mu0, 0), (1, moved, 0)], h=0.1)
+        assert first.spectral_drift == 0.0 and first.energy_drift == 0.0
+        assert np.array_equal(rec.spectrum0, diag.spectrum(mu0))
+        assert rec.energy0 == float(sys.hamiltonian(mu0))
+        expected = np.max(np.abs(diag.spectrum(moved) - diag.spectrum(mu0)))
+        assert second.spectral_drift == expected > 0.0
+        assert second.energy_drift == float(sys.hamiltonian(moved)) - float(sys.hamiltonian(mu0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("make", [RigidBody, lambda: TodaExtended(4), lambda: ZeitlinSphere(5)])
+    def test_nan_initial_state_reads_nan_drifts(self, make):
+        # mu0 fails its own eigensolve, so the reference is a NaN row and
+        # no drift of the run can be measured; nothing is raised.
+        sys = make()
+        mu0 = sys.initial_state(0).copy()
+        mu0[0, 1] = math.nan
+        got = run_recorded(sys, mu0, StepperConfig(), 0.05, 70, method="rk4")
+        assert [r.step for r in got] == list(range(71))
+        assert all(math.isnan(r.spectral_drift) and math.isnan(r.energy_drift) for r in got)
 
     @pytest.mark.parametrize("record_every", [1, 7])
     @pytest.mark.parametrize("method", ["isospectral", "gawlik", "rk4"])
@@ -150,13 +185,13 @@ class TestRecord:
         assert repr(got) == repr(_per_state_run(sys, mu0, 0.01, 70, "isospectral"))
 
     def test_one_spectrum_call_per_block(self, monkeypatch):
-        # The initial spectrum and energy, then one spectrum, energy,
-        # Casimir and membership call per block of 64 recorded states.
+        # One spectrum, energy, Casimir and membership call per block of 64
+        # recorded states; step 0 is measured in the first block only.
         sys = RigidBody()
         calls = _count_calls(sys, monkeypatch)
         run_recorded(sys, sys.initial_state(0), StepperConfig(), 0.01, 150)
         blocks = [(64, 3, 3), (64, 3, 3), (23, 3, 3)]
-        assert calls["spectrum"] == calls["hamiltonian"] == [(3, 3)] + blocks
+        assert calls["spectrum"] == calls["hamiltonian"] == blocks
         assert calls["casimirs"] == calls["state_residual"] == blocks
 
     @pytest.mark.parametrize("record_every", [1, 4])
@@ -180,7 +215,7 @@ class TestRecord:
         sys = ZeitlinSphere(N=65)
         calls = _count_calls(sys, monkeypatch)
         run_recorded(sys, sys.initial_state(0), StepperConfig(), 0.0025, 40)
-        assert calls["spectrum"] == [(65, 65), (32, 65, 65), (9, 65, 65)]
+        assert calls["spectrum"] == [(32, 65, 65), (9, 65, 65)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_run_reads_nan_where_the_reference_does(self):
@@ -197,7 +232,7 @@ class TestRecord:
         sys = RigidBody()
         mu0 = sys.initial_state(0)
         points = [(n, mu, 0) for n, mu, _ in _drive(lambda mu: (classical_rk4_step(mu, 0.1, sys), []), mu0, 9)]
-        rec = Recorder(sys, mu0)
+        rec = Recorder(sys)
         clean = rec.record(points, h=0.1)
         bad = points[4][1]
         real_spectrum = diag.spectrum
@@ -225,6 +260,14 @@ class TestRunRecorded:
             run_recorded(sys, mu0, cfg, 0.01, 0)
         with pytest.raises(ValueError):
             run_recorded(sys, mu0, cfg, 0.01, 5, record_every=0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("method", ["isospectral", "gawlik", "rk4"])
+    def test_step_size_must_be_finite_and_nonzero(self, method, h):
+        sys = RigidBody()
+        with pytest.raises(ValueError, match=r"^step size must be finite and nonzero, got") as info:
+            run_recorded(sys, sys.initial_state(0), StepperConfig(), h, 5, method=method)
+        assert type(info.value) is ValueError
 
     def test_record_every_keeps_final_step(self):
         sys = RigidBody()
@@ -273,8 +316,12 @@ class TestConvergenceStudy:
         cases = [
             ([0.1], 1.0, None, "two step sizes"),
             ([0.1, -0.05], 1.0, None, "h_list.*positive"),
+            # An iterator is read once; the message shows its values, not [].
+            (iter([0.1, -0.05]), 1.0, None, r"h_list.*got \[0\.1, -0\.05\]$"),
             ([0.1, 0.05], 1.0, 0.05, "reference_h"),
             ([0.3, 0.1], 1.0, None, "integer multiple"),
+            # The tolerance is relative: 4e-11 does not divide a t_final below 1e-9.
+            ([4e-11, 2e-11, 1e-11], 1e-10, None, "integer multiple"),
             # Non-finite inputs name their field; NaN fails every ordering test.
             ([0.2, 0.1, 0.05], math.inf, None, "t_final.*finite"),
             ([0.2, 0.1, 0.05], math.nan, None, "t_final.*finite"),

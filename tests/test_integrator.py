@@ -732,6 +732,24 @@ class TestClassicalRk4:
         assert 24.0 < ratio < 40.0
 
 
+_STEPPERS = {
+    "isospectral": lambda mu, sys, h: isospectral_sdirk_step(mu, sys, _cfg(), h),
+    "gawlik": lambda mu, sys, h: gawlik_step(mu, h, sys),
+    "rk4": lambda mu, sys, h: classical_rk4_step(mu, h, sys),
+}
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("method", sorted(_STEPPERS))
+def test_step_size_must_be_finite_and_nonzero(method, h):
+    # Rejected before any stage: not a solver failure (whose advice is to
+    # halve h), and not an all-NaN RK4 state.
+    sys = RigidBody()
+    with pytest.raises(ValueError, match=r"^step size must be finite and nonzero, got") as info:
+        _STEPPERS[method](sys.initial_state(0), sys, h)
+    assert type(info.value) is ValueError
+
+
 def test_toda_lax_form_held_by_stepper():
     # Symmetry of the Lax matrix is preserved to solver tolerance each
     # step (the generator is skew exactly on the symmetric slice).
