@@ -34,6 +34,7 @@ import numpy as np
 
 from .diagnostics import convergence_study, run_recorded, write_csv
 from .integrator import _UPDATE_FORMS, _VARIANT_SIGNS, NonConvergenceError, StepperConfig, _located
+from .quadlie import _count
 from .systems import RigidBody, TodaExtended, ZeitlinSphere
 from .tableau import BUILTIN_TABLEAUS, SdirkTableau
 
@@ -181,15 +182,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 def _validate(config: RunConfig):
     """Build what config names, (system, stepper config); ConfigError on a bad value."""
-    if not 0 < config.h < math.inf:
-        raise ConfigError(f"h must be positive and finite, got {config.h}")
-    if config.steps < 1:
-        raise ConfigError(f"steps must be at least 1, got {config.steps}")
-    if not 0 < config.scale < math.inf:
-        raise ConfigError(f"scale must be positive and finite, got {config.scale}")
-    # The size rules of the selected system live in its constructor;
-    # the size fields of the other systems are unused and not checked.
     try:
+        if not 0 < config.h < math.inf:
+            raise ConfigError(f"h must be positive and finite, got {config.h}")
+        _count(config.steps, 1, "steps")
+        if not 0 < config.scale < math.inf:
+            raise ConfigError(f"scale must be positive and finite, got {config.scale}")
+        # The selected system's constructor holds its size rule; other systems' sizes go unchecked.
         system = _system_for(config)
         cfg = StepperConfig(
             variant=config.variant, update_form=config.update_form, solver_tol=config.solver_tol,

@@ -40,7 +40,7 @@ from .integrator import (
     gawlik_step,
     isospectral_sdirk_step,
 )
-from .quadlie import _frobenius, spectrum
+from .quadlie import _count, _frobenius, spectrum
 
 __all__ = [
     "TrajectoryRecord",
@@ -143,17 +143,16 @@ def run_recorded(
 ) -> list[TrajectoryRecord]:
     """Integrate and record without retaining the trajectory itself.
 
-    method selects the production stepper or one of the baselines
-    ("gawlik", "rk4"); the baselines ignore cfg.tableau and advance
-    with the bare step h.  Records the initial point, every
-    record_every-th step, and always the final step.  Recorded states
-    wait with their summed sweep counts, not stage lists, in a buffer
-    flushed at 64 states or 2 MiB, whichever comes first (8 at N = 128).
+    method selects the production stepper or one of the baselines ("gawlik",
+    "rk4"); the baselines ignore cfg.tableau and advance with the bare step
+    h.  n_steps and record_every are integers of at least 1.  Records the
+    initial point, every record_every-th step, and always the final step.
+    Recorded states wait with their summed sweep counts, not stage lists, in
+    a buffer flushed at 64 states or 2 MiB, whichever comes first (8 at N = 128).
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every}")
+    _count(record_every, 1, "record_every")
     # The steppers are looked up at call time, so a name swapped on this
     # module (as the benchmark's tracer does) takes effect.
     if method == "isospectral":
@@ -259,22 +258,22 @@ def convergence_study(
 def write_csv(records, path) -> None:
     """Write records to path, one TrajectoryRecord.row() per line in repr form.
 
-    Columns: step, t, energy, energy_drift, spectral_drift,
-    casimir_2..casimir_K (labels follow the consecutive Casimir orders
-    starting at 2 that every builtin system reports), solver_iters,
-    membership_residual.  An empty record list produces a header with
-    no casimir columns.
+    Columns: step, t, energy, energy_drift, spectral_drift, casimir_2..casimir_K
+    (labels follow the consecutive Casimir orders starting at 2 that every
+    builtin system reports), solver_iters, membership_residual.  An empty
+    record list gives a header with no casimir columns; records that disagree
+    on the Casimir count raise ValueError before the file is opened.
     """
     records = list(records)
     n_cas = len(records[0].casimir_values) if records else 0
+    if any(len(r.casimir_values) != n_cas for r in records):
+        raise ValueError("records disagree on the number of casimir values")
     header = ["step", "t", "energy", "energy_drift", "spectral_drift"]
     header += [f"casimir_{k}" for k in range(2, 2 + n_cas)]
     header += ["solver_iters", "membership_residual"]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for r in records:
-            if len(r.casimir_values) != n_cas:
-                raise ValueError("records disagree on the number of casimir values")
             fh.write(",".join(map(repr, r.row())) + "\n")
 
 

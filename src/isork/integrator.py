@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadlie import _frobenius, cayley_conjugate, commutator, dcay_inv
+from .quadlie import _count, _frobenius, cayley_conjugate, commutator, dcay_inv
 from .tableau import BUILTIN_TABLEAUS, SdirkTableau
 
 __all__ = [
@@ -130,7 +130,7 @@ class StageLinAlgError(_Located, np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Solver and update-form choices for the isospectral steppers."""
+    """Solver and update-form choices for the isospectral steppers; solver_max_iters is an integer >= 1."""
 
     variant: str = "left"
     update_form: str = "conjugation"
@@ -145,8 +145,7 @@ class StepperConfig:
             raise ValueError(f"update_form must be one of {_UPDATE_FORMS}, got {self.update_form!r}")
         if not _TOL_FLOOR <= self.solver_tol < math.inf:
             raise ValueError(f"solver_tol must be finite and at least {_TOL_FLOOR!r}, got {self.solver_tol}")
-        if self.solver_max_iters < 1:
-            raise ValueError(f"solver_max_iters must be at least 1, got {self.solver_max_iters}")
+        _count(self.solver_max_iters, 1, "solver_max_iters")
 
 
 @dataclass(frozen=True)
@@ -349,8 +348,7 @@ def _drive(step, mu0, n_steps: int):
     LinAlgError aborts the run through `_located`, which sets the
     failing step's index in place, here and nowhere else.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+    n_steps = _count(n_steps, 1, "n_steps")
     mu = mu0
     yield 0, mu, []
     for n in range(n_steps):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +160,17 @@ def _frobenius(x: np.ndarray):
         x = x.mT
     v = np.ascontiguousarray(x.reshape(*x.shape[:-2], -1))
     return np.sqrt(sum(np.vecdot(part, part) for part in ((v.real, v.imag) if v.dtype.kind == "c" else (v,))))
+
+
+def _count(value, minimum: int, name: str) -> int:
+    """The one rule for count arguments: value as an int (an int or numpy integer, never a fraction) >= minimum."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {count}")
+    return count
 
 
 @functools.lru_cache(maxsize=None)

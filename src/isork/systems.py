@@ -34,6 +34,7 @@ import numpy as np
 
 from .quadlie import (
     QuadraticStructure,
+    _count,
     _frobenius,
     _trace,
     orthogonal_structure,
@@ -62,7 +63,7 @@ def _float(value):
 
 
 def casimirs(w: np.ndarray, orders) -> list[float]:
-    """Trace Casimirs tr(w^k) for the requested k >= 1, as real numbers.
+    """Trace Casimirs tr(w^k) for the requested integer orders k >= 1, as real numbers.
 
     One chain of products w, w^2, ..., w^max(orders) gives every power,
     so orders may repeat or come in any order.  Real input reports the
@@ -72,6 +73,7 @@ def casimirs(w: np.ndarray, orders) -> list[float]:
     vanishes identically.  A stack (..., n, n) gives the rows of an
     array (..., len(orders)).
     """
+    orders = [_count(k, 1, "casimir order") for k in orders]
     odd_imag = np.iscomplexobj(w)
     traces = {}
     p = np.eye(w.shape[-1], dtype=np.result_type(w.dtype, np.float64))
@@ -163,11 +165,9 @@ class RigidBody(IsospectralSystem):
 # --- periodic Toda, extended to gl(n) -----------------------------------
 
 
-def _lattice_size(n: int) -> int:
-    """The Toda size rule, shared by the Lax data and the system."""
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
-    return n
+def _lattice_size(n) -> int:
+    """The Toda size rule, shared by the Lax data and the system: n as an int, at least 3."""
+    return _count(n, 3, "n")
 
 
 def toda_lax_matrices(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +241,7 @@ class TodaExtended(IsospectralSystem):
     name = "toda"
 
     def __init__(self, n: int = 4):
-        self.n = n = _lattice_size(int(n))
+        self.n = n = _lattice_size(n)
         self.context = orthogonal_structure(n)
         self.casimir_orders = tuple(range(2, n + 1))
         self._b_mask = 2.0 * _toda_sign_mask(n)
@@ -268,11 +268,9 @@ class TodaExtended(IsospectralSystem):
 # --- Zeitlin sphere ------------------------------------------------------
 
 
-def _sphere_size(N: int) -> int:
-    """The Zeitlin size rule, shared by the spin generators and the system."""
-    if N < 2:
-        raise ValueError(f"N must be at least 2, got {N}")
-    return N
+def _sphere_size(N) -> int:
+    """The Zeitlin size rule, shared by the spin generators and the system: N as an int, at least 2."""
+    return _count(N, 2, "N")
 
 
 @functools.lru_cache(maxsize=None)
@@ -429,7 +427,7 @@ class ZeitlinSphere(IsospectralSystem):
     casimir_orders = (2, 3, 4, 5)
 
     def __init__(self, N: int = 17, forward_laplacian: bool = False):
-        self.n = self.N = N = _sphere_size(int(N))
+        self.n = self.N = N = _sphere_size(N)
         self.context = special_unitary_structure(N)
         self.forward_laplacian = bool(forward_laplacian)
         if forward_laplacian:

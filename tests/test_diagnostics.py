@@ -260,6 +260,11 @@ class TestRunRecorded:
             run_recorded(sys, mu0, cfg, 0.01, 0)
         with pytest.raises(ValueError):
             run_recorded(sys, mu0, cfg, 0.01, 5, record_every=0)
+        # Fractional counts are rejected, never truncated or left to range().
+        with pytest.raises(ValueError, match=r"^n_steps must be an integer, got 2\.5$"):
+            run_recorded(sys, mu0, cfg, 0.01, 2.5)
+        with pytest.raises(ValueError, match=r"^record_every must be an integer, got 1\.5$"):
+            run_recorded(sys, mu0, cfg, 0.01, 4, record_every=1.5)
 
     @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0])
     @pytest.mark.parametrize("method", ["isospectral", "gawlik", "rk4"])
@@ -508,3 +513,12 @@ class TestCsv:
         ]
         with pytest.raises(ValueError, match="casimir"):
             write_csv(records, tmp_path / "bad.csv")
+        # Checked before the file is opened: a fresh path gets no file and
+        # an existing file keeps its bytes.
+        assert not (tmp_path / "bad.csv").exists()
+        good = tmp_path / "good.csv"
+        write_csv(records[:1], good)
+        before = good.read_bytes()
+        with pytest.raises(ValueError, match="casimir"):
+            write_csv(records, good)
+        assert good.read_bytes() == before

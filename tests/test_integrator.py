@@ -172,6 +172,7 @@ class TestStepperConfig:
             {"solver_tol": float("nan")},
             {"solver_tol": 1e-320},
             {"solver_tol": float(np.nextafter(np.finfo(float).eps, 0.0))},
+            {"solver_max_iters": 2.5},
         ],
     )
     def test_rejects_bad_fields(self, kw):
@@ -457,6 +458,10 @@ class TestRunTrajectory:
         cfg = _cfg()
         with pytest.raises(ValueError):
             run_trajectory(sys.initial_state(0), sys, cfg, 0.05, 0)
+        # A fractional count is a ValueError naming it, never a TypeError from range().
+        with pytest.raises(ValueError, match=r"^n_steps must be an integer, got 2\.5$") as info:
+            run_trajectory(sys.initial_state(0), sys, cfg, 0.05, 2.5)
+        assert type(info.value) is ValueError
 
     def test_deterministic(self):
         sys = ZeitlinSphere(N=5)
@@ -759,6 +764,18 @@ def test_toda_lax_form_held_by_stepper():
     for _ in range(50):
         mu, _ = isospectral_sdirk_step(mu, sys, cfg, 0.05)
         assert sys.state_residual(mu) < 1e-11
+
+
+def test_which_stages_reach_the_anderson_mixer():
+    # Every stage of the golden run settles before the mixer is built, so
+    # the mixer cannot move the golden CSV; the toda-yoshida4 benchmark
+    # configuration runs every stage past the plain sweeps.
+    sys = RigidBody()
+    traj = run_trajectory(sys.initial_state(42), sys, _cfg(), 0.01, 100)
+    assert max(st.iters for _, stages in traj for st in stages) < _PLAIN_SWEEPS
+    sys = TodaExtended(4)
+    traj = run_trajectory(sys.initial_state(0), sys, _cfg(tableau=builtin("yoshida4")), 0.1, 5)
+    assert min(st.iters for _, stages in traj for st in stages) > _PLAIN_SWEEPS
 
 
 def test_one_sweep_loop_call_per_stage(monkeypatch):

@@ -1,5 +1,7 @@
 """Benchmark systems: energies, gradients, generators, invariant data."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,10 @@ def test_casimir_traces():
     # Descending and repeated orders come out of the same power chain.
     assert casimirs(w, (3, 2)) == [36.0, 14.0]
     assert casimirs(w, (3, 2, 3)) == [36.0, 14.0, 36.0]
+    # Each order is a count of at least 1; a fraction is not truncated.
+    for order, message in ((0, "at least 1, got 0"), (-1, "at least 1, got -1"), (2.0, "an integer, got 2.0")):
+        with pytest.raises(ValueError, match=rf"^casimir order must be {message}$"):
+            casimirs(w, (2, order))
 
 
 class TestRigidBody:
@@ -171,6 +177,13 @@ class TestToda:
             TodaExtended(n=2)
         with pytest.raises(ValueError, match="n must be at least 3, got 2"):
             toda_extended_B(np.ones((2, 2)))
+        # A fraction or a string is rejected by name, never truncated or parsed.
+        for n in (3.7, 4.0, "4"):
+            with pytest.raises(ValueError, match=rf"^n must be an integer, got {re.escape(repr(n))}$"):
+                TodaExtended(n=n)
+        sys = TodaExtended(np.int64(4))
+        assert sys.n == 4 and type(sys.n) is int
+        assert sys.casimir_orders == (2, 3, 4)
 
     def test_mask_product_matches_scatter(self):
         rng = np.random.default_rng(3)
@@ -206,6 +219,8 @@ class TestZeitlinOperators:
             zeitlin_spin_generators(1)
         with pytest.raises(ValueError):
             ZeitlinSphere(N=1)
+        with pytest.raises(ValueError, match=r"^N must be an integer, got 9\.9$"):
+            ZeitlinSphere(N=9.9)
 
     def test_laplacian_eigenmatrix(self):
         # The generators themselves are l = 1 harmonics: eigenvalue 2.
