@@ -34,7 +34,7 @@ import numpy as np
 
 from .diagnostics import convergence_study, run_recorded, write_csv
 from .integrator import _UPDATE_FORMS, _VARIANT_SIGNS, NonConvergenceError, StepperConfig, _located
-from .quadlie import _count
+from .quadlie import _count, _real
 from .systems import RigidBody, TodaExtended, ZeitlinSphere
 from .tableau import BUILTIN_TABLEAUS, SdirkTableau
 
@@ -183,11 +183,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def _validate(config: RunConfig):
     """Build what config names, (system, stepper config); ConfigError on a bad value."""
     try:
-        if not 0 < config.h < math.inf:
-            raise ConfigError(f"h must be positive and finite, got {config.h}")
+        _real(config.h, "h", "positive and finite")
         _count(config.steps, 1, "steps")
-        if not 0 < config.scale < math.inf:
-            raise ConfigError(f"scale must be positive and finite, got {config.scale}")
+        _real(config.scale, "scale", "positive and finite")
         # The selected system's constructor holds its size rule; other systems' sizes go unchecked.
         system = _system_for(config)
         cfg = StepperConfig(

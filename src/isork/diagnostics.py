@@ -40,7 +40,7 @@ from .integrator import (
     gawlik_step,
     isospectral_sdirk_step,
 )
-from .quadlie import _count, _frobenius, spectrum
+from .quadlie import _count, _frobenius, _real, spectrum
 
 __all__ = [
     "TrajectoryRecord",
@@ -213,9 +213,9 @@ def convergence_study(
     never allowed coarser than that), then reports final-state
     Frobenius errors against the reference and the least-squares slope
     of log error vs log h (NaN below two distinct step sizes).  t_final,
-    the step sizes and reference_h must be positive and finite, and
-    every step size must divide t_final; all of them are checked, the
-    reference's first, before the first step is taken.
+    each step size and reference_h must be positive, finite reals (an h_list
+    iterator is read once), and every step size must divide t_final; all
+    of them are checked, the reference's first, before the first step.
 
     A sweep member's NonConvergenceError or StageLinAlgError aborts the
     study with the failing step size set in place as its `member`
@@ -224,17 +224,13 @@ def convergence_study(
     than two distinct step sizes finished).
     """
     h_list = list(h_list)
-    h_values = sorted((float(h) for h in h_list), reverse=True)
-    if len(h_values) < 2:
+    if len(h_list) < 2:
         raise ValueError("need at least two step sizes to fit a slope")
-    if not 0 < t_final < math.inf:
-        raise ValueError(f"t_final must be positive and finite, got {t_final}")
-    if not all(0 < h < math.inf for h in h_values):
-        raise ValueError(f"h_list step sizes must be positive and finite, got {h_list}")
+    t_final = _real(t_final, "t_final", "positive and finite")
+    h_values = sorted((_real(h, "h_list step size", "positive and finite") for h in h_list), reverse=True)
     h_min = h_values[-1]
-    if reference_h is None:
-        reference_h = h_min / 8.0
-    elif not 0 < reference_h <= h_min / 8.0 * (1.0 + 1e-12):
+    reference_h = h_min / 8.0 if reference_h is None else _real(reference_h, "reference_h", "positive and finite")
+    if not reference_h <= h_min / 8.0 * (1.0 + 1e-12):
         raise ValueError(
             f"reference_h must be positive and at most min(h_list)/8 = {h_min / 8.0}, got {reference_h}"
         )

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadlie import _count, _frobenius, cayley_conjugate, commutator, dcay_inv
+from .quadlie import _count, _frobenius, _real, cayley_conjugate, commutator, dcay_inv
 from .tableau import BUILTIN_TABLEAUS, SdirkTableau
 
 __all__ = [
@@ -130,7 +130,11 @@ class StageLinAlgError(_Located, np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Solver and update-form choices for the isospectral steppers; solver_max_iters is an integer >= 1."""
+    """Solver and update-form choices for the isospectral steppers.
+
+    solver_tol is a finite real of at least machine epsilon (`_TOL_FLOOR`)
+    and solver_max_iters an integer >= 1.
+    """
 
     variant: str = "left"
     update_form: str = "conjugation"
@@ -143,7 +147,7 @@ class StepperConfig:
             raise ValueError(f"variant must be one of {sorted(_VARIANT_SIGNS)}, got {self.variant!r}")
         if self.update_form not in _UPDATE_FORMS:
             raise ValueError(f"update_form must be one of {_UPDATE_FORMS}, got {self.update_form!r}")
-        if not _TOL_FLOOR <= self.solver_tol < math.inf:
+        if _real(self.solver_tol, "solver_tol") < _TOL_FLOOR:
             raise ValueError(f"solver_tol must be finite and at least {_TOL_FLOOR!r}, got {self.solver_tol}")
         _count(self.solver_max_iters, 1, "solver_max_iters")
 
@@ -305,19 +309,15 @@ def solve_stage(mu_prev, h_i: float, system, cfg: StepperConfig) -> StageState:
     return StageState(mu_half=mu_half, mu_stage=mu_c, iters=iters, residual=residual)
 
 
-def _check_step_size(h: float) -> None:
-    if h == 0.0 or not math.isfinite(h):
-        raise ValueError(f"step size must be finite and nonzero, got {h}")
-
-
 def _chain(substage, x, cfg: StepperConfig, h: float):
     """The substage chain of one macro step of size h.
 
-    Runs x, stage = substage(x, h * b_i) over cfg.tableau.b and returns
-    (x, [stage, ...]).  A failing substage's NonConvergenceError or
-    LinAlgError leaves through `_located` with stage=i set in place.
+    Runs x, stage = substage(x, h * b_i) over cfg.tableau.b, h a finite,
+    nonzero real, and returns (x, [stage, ...]).  A failing substage's
+    NonConvergenceError or LinAlgError leaves through `_located` with
+    stage=i set in place.
     """
-    _check_step_size(h)
+    h = _real(h, "step size", "finite and nonzero")
     stages = []
     for i, w in enumerate(cfg.tableau.b):
         try:
@@ -462,9 +462,10 @@ def gawlik_step(mu_tilde, h: float, system, cfg: StepperConfig = StepperConfig()
     half point m+.  The right side is explicit; the left side is the
     stage fixed point at full h, whose solution is both the single
     stage's matrix and its half point.  Symplectic but not isospectral:
-    the update is not a similarity transform, so eigenvalues drift.
+    the update is not a similarity transform, so eigenvalues drift.  h
+    must be a finite, nonzero real.
     """
-    _check_step_size(h)
+    h = _real(h, "step size", "finite and nonzero")
     # A step too large overflows the explicit side or the tolerance scale;
     # _fixed_point raises on the non-finite residual, so silence the warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -474,8 +475,8 @@ def gawlik_step(mu_tilde, h: float, system, cfg: StepperConfig = StepperConfig()
 
 
 def classical_rk4_step(mu, h: float, system):
-    """Explicit RK4 on mu_dot = [B(mu), mu], ignoring all structure."""
-    _check_step_size(h)
+    """Explicit RK4 on mu_dot = [B(mu), mu], ignoring all structure; h must be a finite, nonzero real."""
+    h = _real(h, "step size", "finite and nonzero")
 
     def f(x):
         return commutator(system.B(x), x)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -63,12 +64,13 @@ class SplitMix64:
     seed + k*gamma mod 2^64, blocks of draws vectorize with uint64
     arithmetic.  The point of carrying our own dozen-line generator is
     bit-identical streams on every platform and library version, which
-    keeps seeded trajectories and their CSVs exactly reproducible.
+    keeps seeded trajectories and their CSVs exactly reproducible.  The
+    seed is any integer, taken mod 2^64; a fraction, string or None raises ValueError.
     """
 
     def __init__(self, seed: int):
         self._count = 0
-        self._seed = int(seed) & _MASK64
+        self._seed = _count(seed, -math.inf, "seed") & _MASK64
 
     def _mixed_block(self, count: int) -> np.ndarray:
         idx = np.arange(self._count + 1, self._count + count + 1, dtype=np.uint64)
@@ -171,6 +173,23 @@ def _count(value, minimum: int, name: str) -> int:
     if count < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {count}")
     return count
+
+
+# What each rule holds a real argument to, keyed by the words its error message uses.
+_REAL_RULES = {"finite": math.isfinite, "finite and nonzero": lambda x: x != 0.0 and math.isfinite(x),
+               "positive and finite": lambda x: 0.0 < x < math.inf}
+
+
+def _real(value, name: str, rule: str = "finite") -> float:
+    """The one rule for real arguments: value as a float (a real scalar or 0-d real array) that keeps rule."""
+    if type(value) is not float:  # a Python float, as every macro step passes, needs no type test
+        if not (isinstance(value, numbers.Real) or isinstance(value, np.ndarray) and value.shape == ()
+                and value.dtype.kind in "biuf"):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    if not _REAL_RULES[rule](value):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
 
 
 @functools.lru_cache(maxsize=None)

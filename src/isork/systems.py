@@ -36,6 +36,7 @@ from .quadlie import (
     QuadraticStructure,
     _count,
     _frobenius,
+    _real,
     _trace,
     orthogonal_structure,
     random_algebra_element,
@@ -138,6 +139,8 @@ class RigidBody(IsospectralSystem):
     The reported quadratic invariant is the squared Frobenius norm
     ||W||_F^2 (the angular momentum magnitude squared, equal to
     -tr(W^2) on the skew algebra), listed under the casimir_2 column.
+    The three moments of inertia are positive, finite reals with finite
+    inverses.
     """
 
     name = "rigidbody"
@@ -145,8 +148,8 @@ class RigidBody(IsospectralSystem):
     casimir_orders = (2,)
 
     def __init__(self, inertia=(1.0, 2.0, 3.0)):
-        self.inertia = tuple(float(x) for x in inertia)
-        if len(self.inertia) != 3 or not all(x > 0 and 1.0 / x < math.inf for x in self.inertia):
+        self.inertia = tuple(_real(x, "inertia moment", "positive and finite") for x in inertia)
+        if len(self.inertia) != 3 or not all(1.0 / x < math.inf for x in self.inertia):
             raise ValueError(f"inertia needs three positive moments with finite inverses, got {self.inertia}")
         self._iinv = np.diag([1.0 / x for x in self.inertia])
         self.context = orthogonal_structure(3)
@@ -259,7 +262,8 @@ class TodaExtended(IsospectralSystem):
         return _frobenius(w - w.mT)
 
     def initial_state(self, seed: int, scale: float = 1.0) -> np.ndarray:
-        # The alternating-sign Lax data; deterministic, seed unused.
+        # The alternating-sign Lax data; deterministic, the seed only checked as on every system.
+        _count(seed, -math.inf, "seed")
         signs = (-1.0) ** np.arange(1, self.n + 1)
         lax, _ = toda_lax_matrices(scale * signs, scale * signs)
         return lax

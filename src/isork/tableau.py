@@ -10,10 +10,12 @@ of size h takes the substeps h * b_i in order, computed on the fly
 from StepperConfig.tableau.
 
 SdirkTableau checks its weights where it is built, for every caller,
-and raises ValueError unless they are non-empty, nonzero (a zero-length
-substage is degenerate) and sum to 1 within 1e-10, which also rejects
-NaN and infinite weights.  It is the one home of these rules: the CLI
-builds its custom tableau straight from the parsed weights.
+and raises ValueError unless there is at least one, each is a finite,
+nonzero real (a zero-length substage is degenerate) and they sum to 1
+within 1e-10.  It stores them as a tuple of floats, so a list or an
+array of weights gives the same, hashable tableau.  It is the one home
+of these rules: the CLI builds its custom tableau straight from the
+parsed weights.
 
 Builtin weight vectors:
 
@@ -32,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadlie import _real
+
 __all__ = [
     "SdirkTableau",
     "BUILTIN_TABLEAUS",
@@ -48,12 +52,12 @@ class SdirkTableau:
     name: str = "custom"
 
     def __post_init__(self):
-        if not self.b:
+        weights = () if self.b is None else tuple(_real(w, "weight", "finite and nonzero") for w in self.b)
+        object.__setattr__(self, "b", weights)
+        if not weights:
             raise ValueError("empty weight list")
-        if 0.0 in self.b:
-            raise ValueError("zero weights are not allowed")
         defect = abs(sum(self.b) - 1.0)
-        if not defect <= 1e-10:  # NaN and infinite weights fail here too
+        if not defect <= 1e-10:  # a sum that overflows fails here too
             raise ValueError(f"weights must sum to 1 (defect {defect:.3e})")
 
     @property

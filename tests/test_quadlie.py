@@ -1,5 +1,7 @@
 """Cayley maps, membership, canonical spectra, and the seeded generator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,25 @@ class TestSplitMix64:
 
     def test_shape(self):
         assert SplitMix64(3).uniform((2, 3)).shape == (2, 3)
+
+    @pytest.mark.parametrize(
+        "seed, same_as",
+        [(np.int64(7), 7), (np.uint64(2**64 - 1), -1), (-1, 2**64 - 1), (2**64 + 5, 5), (-(2**70) + 3, 3), (True, 1)],
+    )
+    def test_integer_seeds_keep_their_masked_stream(self, seed, same_as):
+        draws = SplitMix64(seed).uniform(6)
+        assert np.array_equal(draws, SplitMix64(same_as).uniform(6))
+        expected = [(w >> 11) * 2.0**-53 * 2.0 - 1.0 for w in _reference_splitmix64(same_as, 6)]
+        assert draws.tolist() == expected
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "7", None, np.float64(2.0)])
+    def test_non_integer_seed_is_rejected(self, seed):
+        # A fraction is rejected, never truncated to a neighbouring integer's stream.
+        with pytest.raises(ValueError, match=rf"^seed must be an integer, got {re.escape(repr(seed))}$") as info:
+            SplitMix64(seed)
+        assert type(info.value) is ValueError
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            random_algebra_element(orthogonal_structure(3), seed)
 
 
 class TestBasicOps:

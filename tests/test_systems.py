@@ -115,6 +115,10 @@ class TestRigidBody:
             RigidBody((1.0, -2.0, 3.0))
         with pytest.raises(ValueError, match="inertia"):
             RigidBody((1e-320, 1.0, 1.0))  # positive, but 1/1e-320 overflows
+        # A string is not a sequence of moments, though its characters parse as numbers.
+        with pytest.raises(ValueError, match=r"^inertia moment must be a real number, got '1'$"):
+            RigidBody(inertia="123")
+        assert RigidBody((np.int64(1), np.array(2.0), np.float32(3.0))).inertia == (1.0, 2.0, 3.0)
 
 
 class TestToda:
@@ -337,6 +341,17 @@ class TestZeitlinSystem:
             for shift in (1e-8, 1e-3, 1e-3j):
                 gap = np.linalg.norm(sys.B(w + shift * np.eye(N)) - b)
                 assert gap <= 1e-13 * np.linalg.norm(b), (N, shift, gap)
+
+
+@pytest.mark.parametrize("system", [RigidBody(), TodaExtended(n=4), ZeitlinSphere(N=5)], ids=lambda s: s.name)
+def test_initial_state_seed_is_an_integer(system):
+    # Toda's Lax data ignore the seed, but it is checked the same way on every system.
+    for seed in (1.5, "7", None):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got ") as info:
+            system.initial_state(seed)
+        assert type(info.value) is ValueError
+    assert np.array_equal(system.initial_state(np.int64(3)), system.initial_state(3))
+    assert np.array_equal(system.initial_state(3 - 2**64), system.initial_state(3))
 
 
 def _systems_for_fd():

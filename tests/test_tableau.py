@@ -61,8 +61,9 @@ class TestTableauChecksWeights:
             ((), "empty"),
             ((0.0, 1.0), "zero"),
             ((0.5, 0.6), "sum"),
-            ((float("nan"),), "sum"),
-            ((float("inf"), float("-inf")), "sum"),
+            # A non-finite weight is named before any sum is formed.
+            ((float("nan"),), r"^weight must be finite and nonzero, got nan$"),
+            ((float("inf"), float("-inf")), r"^weight must be finite and nonzero, got inf$"),
         ],
         ids=["empty", "zero", "bad-sum", "nan", "inf"],
     )
@@ -80,6 +81,15 @@ class TestTableauChecksWeights:
             "suzuki4": (v, v, 1.0 - 4.0 * v, v, v),
         }
         assert all(tab.name == name for name, tab in BUILTIN_TABLEAUS.items())
+        assert all(type(w) is float for tab in BUILTIN_TABLEAUS.values() for w in tab.b)
+
+    def test_weights_are_stored_as_a_tuple_of_floats(self):
+        # A list or an array of weights gives the same, hashable tableau as a tuple.
+        assert SdirkTableau([0.5, 0.5], "x") == SdirkTableau((0.5, 0.5), "x")
+        assert hash(SdirkTableau([0.5, 0.5], "x")) == hash(SdirkTableau((0.5, 0.5), "x"))
+        hash(StepperConfig(tableau=SdirkTableau([0.5, 0.5])))
+        b = SdirkTableau(np.array([0.5, 0.5])).b
+        assert b == (0.5, 0.5) and all(type(w) is float for w in b)
 
 
 class TestSchedule:
