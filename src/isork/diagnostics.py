@@ -229,7 +229,7 @@ def convergence_study(
     t_final = _real(t_final, "t_final", "positive and finite")
     h_values = sorted((_real(h, "h_list step size", "positive and finite") for h in h_list), reverse=True)
     h_min = h_values[-1]
-    reference_h = h_min / 8.0 if reference_h is None else _real(reference_h, "reference_h", "positive and finite")
+    reference_h = _real(h_min / 8.0 if reference_h is None else reference_h, "reference_h", "positive and finite")
     if not reference_h <= h_min / 8.0 * (1.0 + 1e-12):
         raise ValueError(
             f"reference_h must be positive and at most min(h_list)/8 = {h_min / 8.0}, got {reference_h}"

@@ -174,8 +174,8 @@ class StageState:
 _PLAIN_SWEEPS = 6
 # Number of past residual differences in each Anderson least-squares fit.
 _MIXING_DEPTH = 8
-# The mixer fits on every _FIT_PERIOD-th stored difference and takes the
-# plain update G(x) in between (periodic Pulay mixing).
+# The mixer fits on every _FIT_PERIOD-th call after the first and takes
+# the plain update G(x) in between (periodic Pulay mixing).
 _FIT_PERIOD = 2
 
 
@@ -185,53 +185,41 @@ class _AndersonMixer:
     Walker & Ni, "Anderson acceleration for fixed-point iterations",
     SIAM J. Numer. Anal. 49 (2011); fitting on every k-th iterate only
     is periodic Pulay mixing (Banerjee, Suryanarayana & Pask,
-    Chem. Phys. Lett. 647, 2016).  Every call takes the iterate x and
-    G(x) and stores the flattened differences dF, dG of the residual
-    f = G(x) - x and of the map value against the previous call in
-    ring buffers of _MIXING_DEPTH rows.  When the number of stored
-    differences is a multiple of _FIT_PERIOD the call returns
-    G(x) - dG gamma, where gamma minimises ||f - dF gamma||_2 over the
-    last _MIXING_DEPTH differences; every other call returns the plain
-    update G(x).  A fit forms the normal equations' matrix and
-    right-hand side in one Gram product over the rows [f, dF] and
-    makes one small solve.  The first call, and any fit whose solve
-    fails (LinAlgError or a non-finite gamma), also returns G(x); the
-    caller's stopping test alone decides convergence.
+    Chem. Phys. Lett. 647, 2016).  Call c (from 0) writes the flattened
+    residual f = G(x) - x and G(x) into row c % (_MIXING_DEPTH + 1) of
+    two rings.  When c is a positive multiple of _FIT_PERIOD it returns
+    sum_j alpha_j G(x_j) over the stored rows, with alpha = y / sum(y)
+    for (F F^dagger) y = 1: the alpha of least ||sum_j alpha_j f_j||_2
+    with sum_j alpha_j = 1.  That is the difference-form fit over the
+    last _MIXING_DEPTH residual differences, whatever the rows' order.
+    Every other call returns the plain update G(x), and so does a fit
+    whose solve raises LinAlgError or whose sum(y) is zero or not
+    finite; the caller's stopping test alone decides convergence.
     """
 
     def __init__(self):
-        self._g = None
-        self._stored = 0
+        self._calls = 0
 
     def __call__(self, x, gx):
-        g = gx.ravel()
-        if self._g is None:
-            # Row 0 holds the current residual, rows 1.. the ring of dF.
+        g, c = gx.ravel(), self._calls
+        if not c:
             self._f = np.empty((_MIXING_DEPTH + 1, g.size), np.result_type(g, x))
-            self._dg = np.empty((_MIXING_DEPTH, g.size), self._f.dtype)
-            self._f_new = np.empty(g.size, self._f.dtype)
-            np.subtract(g, x.ravel(), out=self._f[0])
-            self._g = g
+            self._gx = np.empty_like(self._f)
+        self._calls += 1
+        row = c % (_MIXING_DEPTH + 1)
+        np.subtract(g, x.ravel(), out=self._f[row])
+        self._gx[row] = g
+        if not c or c % _FIT_PERIOD:
             return gx
-        f, row = self._f, self._stored % _MIXING_DEPTH
-        np.subtract(g, x.ravel(), out=self._f_new)
-        np.subtract(self._f_new, f[0], out=f[row + 1])
-        f[0] = self._f_new
-        np.subtract(g, self._g, out=self._dg[row])
-        self._g = g
-        self._stored += 1
-        if self._stored % _FIT_PERIOD:
-            return gx
-        m = min(self._stored, _MIXING_DEPTH)
-        rows = f[: m + 1]
-        gram = rows.conj().dot(rows.T)
+        rows = self._f[: c + 1]
         try:
-            gamma = np.linalg.solve(gram[1:, 1:], gram[1:, 0])
+            y = np.linalg.solve(rows.conj().dot(rows.T), np.ones(len(rows)))
         except np.linalg.LinAlgError:
             return gx
-        if not math.isfinite(abs(gamma.sum())):
+        total = y.sum()
+        if not (total and math.isfinite(abs(total))):
             return gx
-        return (g - gamma.dot(self._dg[:m])).reshape(gx.shape)
+        return (y / total).dot(self._gx[: c + 1]).reshape(gx.shape)
 
 
 def _fixed_point(sweep, x0, scale, max_iters):
@@ -243,10 +231,10 @@ def _fixed_point(sweep, x0, scale, max_iters):
     loop stops at the first sweep whose residual is within scale and
     returns (result, iters, residual).  The first _PLAIN_SWEEPS sweeps
     take the plain update x <- G(x); an iteration still unconverged
-    after them feeds every further sweep to an _AndersonMixer, which
-    fits on every _FIT_PERIOD-th of them only, so a stage that settles
-    within _PLAIN_SWEEPS + _FIT_PERIOD sweeps never fits and runs
-    exactly the plain iteration.  iters counts sweeps, so an already
+    after them feeds every further sweep's x and G(x) to the rings of
+    an _AndersonMixer, which fits on every _FIT_PERIOD-th call after
+    the first only, so a stage that settles within _PLAIN_SWEEPS +
+    _FIT_PERIOD sweeps never fits and runs exactly the plain iteration.  iters counts sweeps, so an already
     converged seed reports 1.  Raises NonConvergenceError on a
     non-finite residual or after max_iters sweeps.
     """

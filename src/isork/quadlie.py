@@ -295,10 +295,12 @@ def random_algebra_element(context: QuadraticStructure, seed: int, scale: float 
     for J = I is plain antisymmetrization and satisfies the membership
     condition exactly in floating point.  Traceless contexts then have
     trace(x)/n removed, which stays inside the algebra because the
-    trace of a skew-Hermitian matrix is imaginary.
+    trace of a skew-Hermitian matrix is imaginary.  scale must be a
+    positive, finite real.
     """
     rng = SplitMix64(seed)
     n = context.n
+    scale = _real(scale, "scale", "positive and finite")
     raw = scale * rng.uniform((n, n))
     if context.dtype == np.complex128:
         raw = raw + 1j * (scale * rng.uniform((n, n)))

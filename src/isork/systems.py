@@ -264,6 +264,7 @@ class TodaExtended(IsospectralSystem):
     def initial_state(self, seed: int, scale: float = 1.0) -> np.ndarray:
         # The alternating-sign Lax data; deterministic, the seed only checked as on every system.
         _count(seed, -math.inf, "seed")
+        scale = _real(scale, "scale", "positive and finite")
         signs = (-1.0) ** np.arange(1, self.n + 1)
         lax, _ = toda_lax_matrices(scale * signs, scale * signs)
         return lax
@@ -464,4 +465,4 @@ class ZeitlinSphere(IsospectralSystem):
 
     def initial_state(self, seed: int, scale: float = 1.0) -> np.ndarray:
         w = random_algebra_element(self.context, seed, 1.0)
-        return scale * (w / _frobenius(w))
+        return _real(scale, "scale", "positive and finite") * (w / _frobenius(w))

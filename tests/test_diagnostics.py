@@ -337,6 +337,8 @@ class TestConvergenceStudy:
             ([0.2, 0.1, 0.05], 1.0, -0.001, "reference_h.*positive"),
             # Subnormal step sizes pass the checks above but overflow t_final / h.
             ([1e-320, 2e-320, 4e-320], 1.0, None, "h = .*not finite"),
+            # The default reference_h, min(h_list)/8, rounds to zero below 8 * 5e-324.
+            ([5e-324, 1e-323], 1.0, None, r"^reference_h must be positive and finite, got 0\.0$"),
         ]
         for h_list, t_final, reference_h, match in cases:
             with pytest.raises(ValueError, match=match):

@@ -319,26 +319,27 @@ class TestSolveStage:
             assert np.array_equal(st.mu_stage, ref)
 
     def test_failed_mixing_step_is_the_plain_update(self, monkeypatch):
-        # A singular fit (repeated pairs) and an overflowing one (huge
-        # differences) both fall back to the map value G(x).  The pairs
-        # before the call under test store differences without fitting;
-        # the call under test is a fitting one and its solve fails.
+        # A singular fit (repeated rows) and an overflowing one (a huge
+        # row) both fall back to the map value G(x).  The calls before
+        # the call under test fill the rings without fitting; the call
+        # under test is a fitting one and its solve fails.
         outcomes = []
         solve = np.linalg.solve
 
         def spy(*args):
             try:
-                gamma = solve(*args)
+                y = solve(*args)
             except np.linalg.LinAlgError:
                 outcomes.append("singular")
                 raise
-            outcomes.append("finite" if np.isfinite(gamma).all() else "overflow")
-            return gamma
+            outcomes.append("finite" if np.isfinite(y).all() else "overflow")
+            return y
 
         monkeypatch.setattr(np.linalg, "solve", spy)
         x = np.zeros((2, 2))
         ones = [np.ones((2, 2)) for _ in range(_FIT_PERIOD + 1)]
-        huge = [x] * (_FIT_PERIOD - 1) + [np.full((2, 2), -1e200), np.full((2, 2), 1e200)]
+        rng = np.random.default_rng(0)
+        huge = [rng.standard_normal((2, 2)) for _ in range(_FIT_PERIOD)] + [np.full((2, 2), 1e200)]
         for pairs, outcome in ((ones, "singular"), (huge, "overflow")):
             mix = _AndersonMixer()
             outcomes.clear()
@@ -348,6 +349,28 @@ class TestSolveStage:
                 assert outcomes == []
                 assert mix(x, pairs[-1]) is pairs[-1]
             assert outcomes == [outcome]
+
+    @pytest.mark.parametrize("n, dtype", [(3, float), (4, float), (33, complex)], ids=["real3", "real4", "complex33"])
+    def test_ring_fit_is_the_difference_form_fit(self, n, dtype):
+        # Type II Anderson in difference form over the last _MIXING_DEPTH
+        # differences: G(x_c) - dG gamma, gamma the least-squares solution
+        # of dF gamma = f_c.  Past 2 * _MIXING_DEPTH calls the rings have
+        # filled and wrapped, so their rows are out of call order.
+        rng = np.random.default_rng(n)
+        mix, fs, gs = _AndersonMixer(), [], []
+        for c in range(2 * _MIXING_DEPTH + 3):
+            x, gx = _operand(rng, n, dtype, "C"), _operand(rng, n, dtype, "C")
+            fs.append((gx - x).ravel())
+            gs.append(gx.ravel())
+            out = mix(x, gx)
+            if not c or c % _FIT_PERIOD:
+                assert out is gx
+                continue
+            m = min(c, _MIXING_DEPTH)
+            df, dg = np.diff(fs[-m - 1 :], axis=0), np.diff(gs[-m - 1 :], axis=0)
+            gamma = np.linalg.lstsq(df.T, fs[-1], rcond=None)[0]
+            ref = gs[-1] - dg.T @ gamma
+            assert np.linalg.norm(out.ravel() - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_one_least_squares_solve_per_fitting_sweep(self, monkeypatch):
         # Once mixing engages every sweep but the converged one feeds
@@ -529,7 +552,7 @@ class TestRunTrajectory:
 
     @pytest.mark.parametrize(
         "tableau, h, n_steps",
-        [("midpoint", 0.22, 300), ("sdirk2", 0.2, 300), ("yoshida4", 0.1, 200)],
+        [("midpoint", 0.22, 300), ("sdirk2", 0.2, 300), ("yoshida4", 0.1, 200), ("yoshida4", 0.14, 200)],
     )
     def test_toda_converges_at_large_steps(self, tableau, h, n_steps):
         # Plain Picard iteration needs more than 200 sweeps for the first
@@ -842,18 +865,15 @@ class TestProductsMatchMatmul:
         assert np.array_equal(momentum_map(CotangentState(a, b)), a.conj().T @ b)
 
     def test_mixer_gram_and_update(self, n, dtype, left, right):
-        # Every fitting call, with the ring buffer filling and wrapping.
+        # Every fitting call, with the rings filling and wrapping.
         rng = np.random.default_rng(n)
         mix = _AndersonMixer()
-        mix(_operand(rng, n, dtype, left), _operand(rng, n, dtype, right))
-        for stored in range(1, 2 * _MIXING_DEPTH + 1):
+        for c in range(2 * _MIXING_DEPTH + 2):
             gx = _operand(rng, n, dtype, right)
             out = mix(_operand(rng, n, dtype, left), gx)
-            if stored % _FIT_PERIOD:
+            if not c or c % _FIT_PERIOD:
                 continue
-            m = min(stored, _MIXING_DEPTH)
-            rows = mix._f[: m + 1]
-            gram = rows.conj() @ rows.T
-            gamma = np.linalg.solve(gram[1:, 1:], gram[1:, 0])
+            rows = mix._f[: c + 1]
+            y = np.linalg.solve(rows.conj() @ rows.T, np.ones(len(rows)))
             assert out is not gx
-            assert np.array_equal(out, (gx.ravel() - gamma @ mix._dg[:m]).reshape(gx.shape))
+            assert np.array_equal(out, ((y / y.sum()) @ mix._gx[: c + 1]).reshape(gx.shape))

@@ -16,7 +16,8 @@ from isork.integrator import (
     gawlik_step,
     isospectral_sdirk_step,
 )
-from isork.systems import RigidBody
+from isork.quadlie import random_algebra_element, special_unitary_structure
+from isork.systems import RigidBody, TodaExtended, ZeitlinSphere
 from isork.tableau import SdirkTableau
 
 # A small state keeps every stage solve easy, even at a step size of 16.
@@ -36,6 +37,10 @@ _ARGUMENTS = [
     ("reference_h", "reference_h", lambda v: convergence_study(_SYS, [16.0, 8.0], 16.0, v, mu0=_MU0), 1),
     ("inertia", "inertia moment", lambda v: RigidBody((v, 2.0, 3.0)), 1),
     ("weights", "weight", lambda v: SdirkTableau((v, 1.0, -1.0)), 1),
+    ("rigid body scale", "scale", lambda v: RigidBody().initial_state(0, v), 2),
+    ("toda scale", "scale", lambda v: TodaExtended(4).initial_state(0, v), 2),
+    ("zeitlin scale", "scale", lambda v: ZeitlinSphere(5).initial_state(0, v), 2),
+    ("algebra element scale", "scale", lambda v: random_algebra_element(special_unitary_structure(3), 0, v), 2),
 ]
 _IDS = [row[0] for row in _ARGUMENTS]
 
