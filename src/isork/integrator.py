@@ -22,7 +22,8 @@ same arithmetic as stepping with -h_i.
 
 Three loops serve every stepper.  `_fixed_point` is the sweep loop of
 every implicit solve (the reduced stage, the Cayley half-step stage
-and the cotangent increments): plain sweeps, then Anderson mixing.
+and the cotangent increments): plain sweeps, then chord steps for a
+small real reduced stage, or Anderson mixing.
 `_chain` runs a substage callable over the tableau's h_i, for the
 reduced and the cotangent stepper alike, and sets the stage index in
 place on a failure.  `_drive` is the macro-step loop, here and in the
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadlie import _count, _frobenius, _real, cayley_conjugate, commutator, dcay_inv
+from .quadlie import _count, _frobenius, _half_factors, _real, cayley_conjugate, commutator, dcay_inv
 from .tableau import BUILTIN_TABLEAUS, SdirkTableau
 
 __all__ = [
@@ -177,6 +178,13 @@ _MIXING_DEPTH = 8
 # The mixer fits on every _FIT_PERIOD-th call after the first and takes
 # the plain update G(x) in between (periodic Pulay mixing).
 _FIT_PERIOD = 2
+# A real stage of size n <= _CHORD_MAX_N takes chord steps when its last
+# plain sweep left a share in _CHORD_GATE = (low, high] of the residual
+# before it: contracting, but too slowly to finish plain.  Each chord step
+# must cut the residual at least _CHORD_CUT-fold (see `_fixed_point`).
+_CHORD_MAX_N = 6
+_CHORD_GATE = (0.1, 0.9)
+_CHORD_CUT = 4.0
 
 
 class _AndersonMixer:
@@ -222,35 +230,56 @@ class _AndersonMixer:
         return (y / total).dot(self._gx[: c + 1]).reshape(gx.shape)
 
 
-def _fixed_point(sweep, x0, scale, max_iters):
+def _fixed_point(sweep, x0, scale, max_iters, linearize=None):
     """The one sweep loop of every implicit solve, seeded at x0.
 
     sweep(x) -> (result, G(x), residual) evaluates B once at the
     iterate x and returns what the caller keeps on convergence, the
     fixed-point map's value G(x) and the residual of x as a float.  The
     loop stops at the first sweep whose residual is within scale and
-    returns (result, iters, residual).  The first _PLAIN_SWEEPS sweeps
-    take the plain update x <- G(x); an iteration still unconverged
-    after them feeds every further sweep's x and G(x) to the rings of
-    an _AndersonMixer, which fits on every _FIT_PERIOD-th call after
-    the first only, so a stage that settles within _PLAIN_SWEEPS +
-    _FIT_PERIOD sweeps never fits and runs exactly the plain iteration.  iters counts sweeps, so an already
-    converged seed reports 1.  Raises NonConvergenceError on a
-    non-finite residual or after max_iters sweeps.
+    returns (result, iters, residual).  iters counts sweeps, so an
+    already converged seed reports 1.  Raises NonConvergenceError on a
+    non-finite residual outside the chord phase or after max_iters
+    sweeps.  The first _PLAIN_SWEEPS sweeps take the plain update
+    x <- G(x).
+
+    Chord phase: if linearize is given and the last plain sweep left a
+    share of the residual in _CHORD_GATE, linearize(result) returns J^-1,
+    the inverse of the Jacobian of x - G(x) at that sweep's iterate (or
+    None), and every further sweep steps x <- x - J^-1 vec(x - G(x)),
+    vec being row-major.  A chord step stands while it cuts the residual
+    at least _CHORD_CUT-fold; the first that does not (a non-finite
+    residual included) is undone, and the loop mixes on from the iterate
+    before it.
+
+    Mixing: otherwise every sweep after the plain ones feeds its x and
+    G(x) to the rings of an _AndersonMixer, which fits on every
+    _FIT_PERIOD-th call after the first only.  So a stage that takes no
+    chord step and settles within _PLAIN_SWEEPS + _FIT_PERIOD sweeps
+    runs exactly the plain iteration.
     """
     x = x0
     residual = np.inf
-    mix = None
+    mix = jinv = None
+    low, high = _CHORD_GATE
     # Divergence is detected and raised below; silence the transient
     # overflow warnings it produces on the way.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_iters):
+            previous = residual
             result, gx, residual = sweep(x)
             if residual <= scale:
                 return result, k + 1, residual
-            if not math.isfinite(residual):
+            if jinv is not None and not residual * _CHORD_CUT <= previous:
+                jinv, (x, gx) = None, kept
+            elif not math.isfinite(residual):
                 raise NonConvergenceError(k + 1, residual)
-            if k + 1 < _PLAIN_SWEEPS:
+            if k + 1 == _PLAIN_SWEEPS and linearize is not None and low * previous < residual <= high * previous:
+                jinv = linearize(result)
+            if jinv is not None:
+                kept = x, gx
+                x = x - jinv.dot((x - gx).ravel()).reshape(x.shape)
+            elif k + 1 < _PLAIN_SWEEPS:
                 x = gx
             else:
                 if mix is None:
@@ -266,6 +295,19 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     stage-equation defect ||(I - a B) mu (I + a B) - mu_prev||_F of mu,
     within cfg.solver_tol * (1 + ||mu_prev||_F).  Each sweep's update
     is the Picard step mu - defect.
+
+    A real stage of size n <= _CHORD_MAX_N also gives `_fixed_point`
+    the linearization for its chord phase: at the gating sweep's iterate
+    mu, the inverse of the defect's Jacobian
+
+        J = kron(lo, hi^T) + a (kron(lo mu, I) - kron(I, (mu hi)^T)) L
+
+    in row-major vec, with lo = I - a B(mu), hi = I + a B(mu) and L's
+    column k vec B(E_k) over the n^2 unit matrices E_k.  It is exact for
+    a linear B, as every builtin B is; for any other B the chord steps
+    soon stop paying and the stage mixes.  B(mu) is the sweep's, so J
+    costs n^2 further B calls and one n^2 x n^2 inverse per stage; a
+    singular J gives None, and the stage mixes.
     """
 
     def sweep(mu):
@@ -276,8 +318,24 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
         defect = mu - a * (bmu - mu.dot(b)) - (a * a) * bmu.dot(b) - mu_prev
         return (mu, b), mu - defect, _frobenius(defect)
 
+    def linearize(result):
+        mu, b = result
+        n = len(mu)
+        lo, hi = _half_factors((2.0 * a) * b)
+        units = np.eye(n * n).reshape(n * n, n, n)
+        bk = np.array([b_map(e) for e in units])
+        # Row k is vec of (lo mu) B(E_k) - B(E_k) (mu hi), the B-term of J's column k.
+        terms = (lo.dot(mu) @ bk - bk @ mu.dot(hi)).reshape(n * n, n * n)
+        # kron(lo, hi^T) by broadcasting: np.kron's own overhead is larger at these sizes.
+        kron = (lo[:, None, :, None] * hi.T[None, :, None, :]).reshape(n * n, n * n)
+        try:
+            return np.linalg.inv(kron + a * terms.T)
+        except np.linalg.LinAlgError:
+            return None
+
     scale = cfg.solver_tol * (1.0 + _frobenius(mu_prev))
-    return _fixed_point(sweep, mu_prev, scale, cfg.solver_max_iters)
+    small = np.isrealobj(mu_prev) and len(mu_prev) <= _CHORD_MAX_N
+    return _fixed_point(sweep, mu_prev, scale, cfg.solver_max_iters, linearize if small else None)
 
 
 def solve_stage(mu_prev, h_i: float, system, cfg: StepperConfig) -> StageState:

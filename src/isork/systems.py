@@ -72,7 +72,7 @@ def casimirs(w: np.ndarray, orders) -> list[float]:
     the imaginary part for odd k: on skew-Hermitian states tr(w^k) is
     real for even k and purely imaginary for odd k, so the other part
     vanishes identically.  A stack (..., n, n) gives the rows of an
-    array (..., len(orders)).
+    array (..., len(orders)), of shape (..., 0) for no orders.
     """
     orders = [_count(k, 1, "casimir order") for k in orders]
     odd_imag = np.iscomplexobj(w)
@@ -83,7 +83,9 @@ def casimirs(w: np.ndarray, orders) -> list[float]:
         if k in orders:
             traces[k] = _trace(p)
     out = [traces[k].imag if odd_imag and k % 2 else traces[k].real for k in orders]
-    return [float(c) for c in out] if w.ndim == 2 else np.stack(out, axis=-1)
+    if w.ndim == 2:
+        return [float(c) for c in out]
+    return np.stack(out, axis=-1) if out else np.zeros(w.shape[:-2] + (0,))
 
 
 class IsospectralSystem:

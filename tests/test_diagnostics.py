@@ -29,7 +29,7 @@ from isork.integrator import (
     solve_stage,
 )
 from isork.quadlie import cayley, random_algebra_element
-from isork.systems import RigidBody, TodaExtended, ZeitlinSphere
+from isork.systems import IsospectralSystem, RigidBody, TodaExtended, ZeitlinSphere
 from isork.tableau import builtin
 from test_quadlie import _loop_spectrum
 
@@ -468,6 +468,24 @@ class TestCsv:
         )
         # NaN != NaN, so compare reprs.
         assert repr(read_csv(path)) == repr(records)
+
+    def test_system_without_casimirs_records_and_round_trips(self, tmp_path):
+        # A system that reports no Casimirs records rows with none, and
+        # its CSV has no Casimir columns.
+        class Bare(RigidBody):
+            casimir_orders = ()
+            casimirs = IsospectralSystem.casimirs
+
+        sys = Bare()
+        records = run_recorded(sys, sys.initial_state(1), StepperConfig(), 0.02, 4)
+        assert [r.step for r in records] == [0, 1, 2, 3, 4]
+        assert all(r.casimir_values == () for r in records)
+        path = tmp_path / "bare.csv"
+        write_csv(records, path)
+        assert path.read_text().splitlines()[0] == (
+            "step,t,energy,energy_drift,spectral_drift,solver_iters,membership_residual"
+        )
+        assert read_csv(path) == records
 
     def test_numpy_scalar_fields_round_trip(self, tmp_path):
         record = TrajectoryRecord(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from isork.integrator import (
+    _CHORD_MAX_N,
     _FIT_PERIOD,
     _MIXING_DEPTH,
     _PLAIN_SWEEPS,
@@ -108,6 +109,18 @@ def _singular_at_step_3_stage_1(monkeypatch):
     monkeypatch.setattr("isork.integrator.solve_stage", failing_solve_stage)
 
 
+def _spy_on(monkeypatch, owner, name):
+    """Record the positional arguments of every call of owner.name; returns the list."""
+    calls, fn = [], getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 def _stage_defect(mu, mu_prev, a, system):
     """(I - a B(mu)) mu (I + a B(mu)) - mu_prev, in the library's arithmetic."""
     b = system.B(mu)
@@ -115,11 +128,12 @@ def _stage_defect(mu, mu_prev, a, system):
     return mu - a * (bmu - mu @ b) - (a * a) * (bmu @ b) - mu_prev
 
 
-def _picard_stage(mu_prev, h_i, system, tol, max_iters=10_000):
+def _picard_stage(mu_prev, h_i, system, tol, max_iters=10_000, relax=1.0):
     """Plain Picard stage solve, the reference for the mixed solver.
 
     Same defect arithmetic and stopping test as the library; returns
-    (stage matrix, sweeps).
+    (stage matrix, sweeps).  relax < 1 takes the damped step
+    mu - relax * defect (relax = 1 is the plain step, bit for bit).
     """
     a = h_i / 2.0
     mu = mu_prev
@@ -132,7 +146,7 @@ def _picard_stage(mu_prev, h_i, system, tol, max_iters=10_000):
                 return mu, k + 1
             if not np.isfinite(residual):
                 break
-            mu = mu - defect
+            mu = mu - relax * defect
     raise NonConvergenceError(k + 1, residual)
 
 
@@ -218,15 +232,21 @@ class TestSolveStage:
 
     def test_one_B_evaluation_per_sweep(self):
         # The generator of the converged iterate is reused for the update,
-        # and the mixed sweeps of a slowly contracting Toda stage cost one
-        # evaluation each like the plain ones.
+        # and the mixed sweeps of a slowly contracting Toda stage above the
+        # chord size bound cost one evaluation each like the plain ones.  A
+        # chord stage adds the n^2 evaluations B(E_k) of its one Jacobian
+        # (16 at n = 4), whose B(mu) is the gating sweep's.
         for form in ("conjugation", "dcay"):
             spy = _CountingB(RigidBody())
             st = solve_stage(spy.system.initial_state(42), 0.01, spy, _cfg(update_form=form))
             assert spy.calls == st.iters > 1
+            spy = _CountingB(TodaExtended(_CHORD_MAX_N + 1))
+            st = solve_stage(spy.system.initial_state(0), 0.1, spy, _cfg(update_form=form))
+            assert spy.calls == st.iters > _PLAIN_SWEEPS + _FIT_PERIOD
             spy = _CountingB(TodaExtended(4))
             st = solve_stage(spy.system.initial_state(0), 0.1, spy, _cfg(update_form=form))
-            assert spy.calls == st.iters > _PLAIN_SWEEPS + 1
+            assert spy.calls == st.iters + 16
+            assert st.iters > _PLAIN_SWEEPS + 1
 
     def test_stage_matrix_satisfies_implicit_relation(self):
         # The converged stage matrix is the dcay image of the entering
@@ -373,22 +393,15 @@ class TestSolveStage:
             assert np.linalg.norm(out.ravel() - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_one_least_squares_solve_per_fitting_sweep(self, monkeypatch):
-        # Once mixing engages every sweep but the converged one feeds
-        # the mixer, and every _FIT_PERIOD-th stored difference is
-        # fitted with one solve.  Stages that settle within the plain
-        # sweeps never build a mixer.  The dcay update makes no solve of
-        # its own, so every solve counted here is a fit.
-        solves, built, per_call = [], [], []
-        solve = np.linalg.solve
-        init, call = _AndersonMixer.__init__, _AndersonMixer.__call__
-
-        def spy_solve(*args):
-            solves.append(args)
-            return solve(*args)
-
-        def spy_init(mixer):
-            built.append(mixer)
-            init(mixer)
+        # Stages that settle within the plain sweeps build neither a mixer
+        # nor a Jacobian.  A slowly contracting small real stage (Toda
+        # n = 4) inverts one Jacobian and builds no mixer.  Above the chord
+        # size bound the stage mixes: every sweep after the plain ones but
+        # the converged one calls the mixer, and call c (from 0) fits, with
+        # one solve, when c is a positive multiple of _FIT_PERIOD.  The
+        # dcay update makes no solve of its own, so every solve counted
+        # here is a fit.
+        per_call, call = [], _AndersonMixer.__call__
 
         def spy_call(mixer, x, gx):
             before = len(solves)
@@ -396,18 +409,26 @@ class TestSolveStage:
             per_call.append(len(solves) - before)
             return out
 
-        monkeypatch.setattr(np.linalg, "solve", spy_solve)
-        monkeypatch.setattr(_AndersonMixer, "__init__", spy_init)
+        # Built before the spies: Zeitlin's set-up inverts matrices of its own.
+        fast = ((RigidBody(), 42, 0.01), (ZeitlinSphere(N=9), 1, 0.005))
+        solves = _spy_on(monkeypatch, np.linalg, "solve")
+        inverses = _spy_on(monkeypatch, np.linalg, "inv")
+        built = _spy_on(monkeypatch, _AndersonMixer, "__init__")
         monkeypatch.setattr(_AndersonMixer, "__call__", spy_call)
         cfg = _cfg(update_form="dcay")
-        for sys, seed, h in ((RigidBody(), 42, 0.01), (ZeitlinSphere(N=9), 1, 0.005)):
+        for sys, seed, h in fast:
             st = solve_stage(sys.initial_state(seed), h, sys, cfg)
             assert st.iters <= _PLAIN_SWEEPS
-        assert built == [] and solves == []
+        assert built == [] and solves == [] and inverses == []
         sys = TodaExtended(4)
         st = solve_stage(sys.initial_state(0), 0.1, sys, cfg)
-        assert len(built) == 1
-        # Call c (from 0) stores its c-th difference.
+        assert st.iters > _PLAIN_SWEEPS + _FIT_PERIOD
+        assert len(inverses) == 1 and inverses[0][0].shape == (16, 16)
+        assert built == [] and solves == []
+        inverses.clear()
+        sys = TodaExtended(_CHORD_MAX_N + 1)
+        st = solve_stage(sys.initial_state(0), 0.1, sys, cfg)
+        assert inverses == [] and len(built) == 1
         assert len(per_call) == st.iters - _PLAIN_SWEEPS
         fits = [int(c > 0 and c % _FIT_PERIOD == 0) for c in range(len(per_call))]
         assert per_call == fits
@@ -419,6 +440,91 @@ class TestSolveStage:
         sys = RigidBody()
         st = solve_stage(w, 0.3, sys, _cfg())
         assert np.linalg.norm(st.mu_half - w) < 1e-14
+
+
+class _QuadraticToda:
+    """Toda n = 4's B plus a quadratic term, so B(E_k) no longer spans its derivative."""
+
+    toda = TodaExtended(4)
+
+    def B(self, w):
+        return self.toda.B(w) + 0.5 * self.toda.B(w * w)
+
+
+class TestChordPhase:
+    # A small real stage whose plain sweeps contract slowly takes chord
+    # steps with one Jacobian of the stage defect, and mixes only if a
+    # chord step stops cutting the defect fourfold.
+
+    @pytest.mark.parametrize("h, chords", [(0.1, 3), (0.14, 2)])
+    def test_stays_on_the_near_branch(self, h, chords, monkeypatch):
+        # The stage equation is quadratic in mu, so it has far solutions
+        # too.  Each yoshida4 substage lands within 10 tolerances of the
+        # Picard reference.  Plain Picard diverges on the middle substage
+        # at h = 0.14, so the reference takes half steps mu - defect / 2,
+        # which converge on every substage here.  That substage's plain
+        # sweeps contract too slowly for the gate, so it mixes.
+        inverses = _spy_on(monkeypatch, np.linalg, "inv")
+        sys = TodaExtended(4)
+        cfg = _cfg(tableau=builtin("yoshida4"))
+        mu = sys.initial_state(0)
+        for w in cfg.tableau.b:
+            st = solve_stage(mu, h * w, sys, cfg)
+            ref, _ = _picard_stage(mu, h * w, sys, cfg.solver_tol, relax=0.5)
+            assert np.linalg.norm(st.mu_stage - ref) <= 10 * cfg.solver_tol * (1.0 + np.linalg.norm(mu))
+            mu = st.mu_half
+        assert len(inverses) == chords
+
+    def test_nonlinear_B_converges_through_the_fallback(self, monkeypatch):
+        # The Jacobian built from B(E_k) misses the quadratic term, so a
+        # chord step soon cuts the defect less than fourfold; the solve
+        # goes back one iterate and mixes to the tolerance.
+        built = _spy_on(monkeypatch, _AndersonMixer, "__init__")
+        spy = _CountingB(_QuadraticToda())
+        mu = spy.system.toda.initial_state(0)
+        st = solve_stage(mu, 0.1, spy, _cfg())
+        assert len(built) == 1
+        assert spy.calls == st.iters + 16
+        defect = _stage_defect(st.mu_stage, mu, 0.05, spy.system)
+        assert np.linalg.norm(defect) <= 1e-13 * (1.0 + np.linalg.norm(mu))
+
+    @pytest.mark.parametrize(
+        "sys, h",
+        [(ZeitlinSphere(N=4), 0.2), (TodaExtended(_CHORD_MAX_N + 1), 0.1)],
+        ids=["complex", "above-size-bound"],
+    )
+    def test_only_small_real_stages_build_a_jacobian(self, sys, h, monkeypatch):
+        # Both stages mix, so they are slow enough for the gate, but one is
+        # complex and the other larger than the bound.
+        inverses = _spy_on(monkeypatch, np.linalg, "inv")
+        built = _spy_on(monkeypatch, _AndersonMixer, "__init__")
+        spy = _CountingB(sys)
+        st = solve_stage(sys.initial_state(0), h, spy, _cfg(update_form="dcay"))
+        assert st.iters > _PLAIN_SWEEPS + _FIT_PERIOD
+        assert len(built) == 1 and inverses == []
+        assert spy.calls == st.iters
+
+    @pytest.mark.parametrize(
+        "sys, mu0, tableau, h, n_steps",
+        [
+            (TodaExtended(4), TodaExtended(4).initial_state(0), "suzuki4", 0.4, 150),
+            (TodaExtended(4), TodaExtended(4).initial_state(0), "midpoint", 0.25, 150),
+            (RigidBody(), RigidBody().initial_state(42, scale=16.0), "yoshida4", 0.5, 50),
+            (RigidBody(), RigidBody().initial_state(42, scale=4.0), "yoshida4", 2.0, 50),
+        ],
+        ids=["toda-suzuki4-0.4", "toda-midpoint-0.25", "rigid16-yoshida4-0.5", "rigid4-yoshida4-2"],
+    )
+    def test_converges_where_other_chord_variants_failed(self, sys, mu0, tableau, h, n_steps):
+        # The mixing-only solver converges these runs, and variants of the
+        # chord phase fail some of them: without the contraction gate,
+        # suzuki4 at h = 0.4 and the scale-4 rigid body; with chord steps
+        # started at the first fitting sweep, or without going back one
+        # iterate on a step that does not pay, suzuki4 at h = 0.4.  The
+        # conjugation update keeps the spectrum.
+        traj = run_trajectory(mu0, sys, _cfg(tableau=builtin(tableau)), h, n_steps)
+        assert len(traj) == n_steps + 1
+        spec0 = spectrum(mu0)
+        assert np.max(np.abs(spectrum(traj[-1][0]) - spec0)) < 1e-13 * (1.0 + np.max(np.abs(spec0)))
 
 
 class TestMacroStep:
@@ -505,7 +611,7 @@ class TestRunTrajectory:
         assert "step 0" in str(info.value)
 
     def test_exhausted_budget_carries_step_and_stage(self):
-        # The first Toda yoshida4 stage at h = 0.1 needs 17 sweeps; with
+        # The first Toda yoshida4 stage at h = 0.1 needs 11 sweeps; with
         # 3 it stops at a finite residual above the tolerance.
         sys = TodaExtended(4)
         mu0 = sys.initial_state(0)
@@ -557,8 +663,8 @@ class TestRunTrajectory:
     def test_toda_converges_at_large_steps(self, tableau, h, n_steps):
         # Plain Picard iteration needs more than 200 sweeps for the first
         # midpoint stage here, and 31 and 50 for the first sdirk2 and
-        # yoshida4 stages; the mixed solver settles every stage of these
-        # runs, and the conjugation update keeps the spectrum.
+        # yoshida4 stages; chord steps and the mixer settle every stage of
+        # these runs, and the conjugation update keeps the spectrum.
         sys = TodaExtended(4)
         mu0 = sys.initial_state(0)
         traj = run_trajectory(mu0, sys, _cfg(tableau=builtin(tableau)), h, n_steps)
@@ -790,9 +896,9 @@ def test_toda_lax_form_held_by_stepper():
 
 
 def test_which_stages_reach_the_anderson_mixer():
-    # Every stage of the golden run settles before the mixer is built, so
-    # the mixer cannot move the golden CSV; the toda-yoshida4 benchmark
-    # configuration runs every stage past the plain sweeps.
+    # Every stage of the golden run settles within the plain sweeps, so
+    # neither chord steps nor the mixer can move the golden CSV; the
+    # toda-yoshida4 benchmark configuration runs every stage past them.
     sys = RigidBody()
     traj = run_trajectory(sys.initial_state(42), sys, _cfg(), 0.01, 100)
     assert max(st.iters for _, stages in traj for st in stages) < _PLAIN_SWEEPS

@@ -89,6 +89,10 @@ def test_casimir_traces():
     for order, message in ((0, "at least 1, got 0"), (-1, "at least 1, got -1"), (2.0, "an integer, got 2.0")):
         with pytest.raises(ValueError, match=rf"^casimir order must be {message}$"):
             casimirs(w, (2, order))
+    # No orders: an empty list for one matrix, an empty last axis for a stack.
+    assert casimirs(w, ()) == []
+    empty = casimirs(np.stack([w, 2 * w, 3 * w]), ())
+    assert empty.shape == (3, 0) and empty.dtype == float
 
 
 class TestRigidBody:
