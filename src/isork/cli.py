@@ -12,7 +12,8 @@ Config file grammar: one `key = value` per line, keys named like the
 RunConfig fields, `#` comments and blank lines ignored, list values
 as comma-separated numbers, booleans as true/false.  `dump-config`
 prints the effective configuration in exactly this grammar, so its
-output re-parses to the same configuration.
+output re-parses to the same configuration; a value the grammar cannot
+hold (an `out` path with `#`, say) is a configuration error.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 stage solver
 non-convergence, 4 I/O failure, 5 numerical breakdown (a linear
@@ -144,7 +145,11 @@ def parse_config_file(path: str) -> dict:
 
 
 def dump_config(config: RunConfig) -> str:
-    """Canonical config-file text for the given configuration."""
+    """Canonical config-file text for the given configuration.
+
+    A value that would not read back as written, one holding `#` or a
+    line break or starting or ending with whitespace, is a ConfigError.
+    """
     lines = []
     for f in fields(RunConfig):
         value = getattr(config, f.name)
@@ -158,6 +163,9 @@ def dump_config(config: RunConfig) -> str:
             text = repr(value)
         else:
             text = str(value)
+        if "#" in text or len(text.splitlines()) > 1 or text != text.strip():
+            raise ConfigError(f"{f.name} = {text!r} cannot be written to a config file: it holds '#' or a "
+                              "line break, or starts or ends with whitespace")
         lines.append(f"{f.name} = {text}")
     return "\n".join(lines) + "\n"
 

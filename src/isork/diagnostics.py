@@ -191,9 +191,14 @@ def _step_count(t_final: float, h: float) -> int:
 
 
 def _report(h_values, errors) -> ConvergenceReport:
-    """The report over the first len(errors) step sizes; slope NaN below two distinct step sizes."""
+    """The report over the first len(errors) step sizes.
+
+    The slope is fitted only over at least two distinct step sizes whose
+    errors are all positive and finite; otherwise it is NaN, with no warning.
+    """
     h_values = tuple(h_values[: len(errors)])
-    slope = float(np.polyfit(np.log(h_values), np.log(errors), 1)[0]) if len(set(h_values)) >= 2 else math.nan
+    fit = len(set(h_values)) >= 2 and all(0.0 < e < math.inf for e in errors)
+    slope = float(np.polyfit(np.log(h_values), np.log(errors), 1)[0]) if fit else math.nan
     return ConvergenceReport(h_values, tuple(errors), slope)
 
 
@@ -212,7 +217,8 @@ def convergence_study(
     duplicates kept) and at reference_h (default min(h_list)/8, and
     never allowed coarser than that), then reports final-state
     Frobenius errors against the reference and the least-squares slope
-    of log error vs log h (NaN below two distinct step sizes).  t_final,
+    of log error vs log h (NaN below two distinct step sizes, or when an
+    error is zero or not finite, as at an equilibrium).  t_final,
     each step size and reference_h must be positive, finite reals (an h_list
     iterator is read once), and every step size must divide t_final; all
     of them are checked, the reference's first, before the first step.

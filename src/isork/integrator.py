@@ -298,16 +298,16 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
 
     A real stage of size n <= _CHORD_MAX_N also gives `_fixed_point`
     the linearization for its chord phase: at the gating sweep's iterate
-    mu, the inverse of the defect's Jacobian
+    mu, the inverse of the defect's Jacobian J.  J's column k is the
+    row-major vec of the defect's derivative along the unit matrix E_k,
 
-        J = kron(lo, hi^T) + a (kron(lo mu, I) - kron(I, (mu hi)^T)) L
+        lo E_k hi + a (lo mu B(E_k) - B(E_k) mu hi),
 
-    in row-major vec, with lo = I - a B(mu), hi = I + a B(mu) and L's
-    column k vec B(E_k) over the n^2 unit matrices E_k.  It is exact for
-    a linear B, as every builtin B is; for any other B the chord steps
-    soon stop paying and the stage mixes.  B(mu) is the sweep's, so J
-    costs n^2 further B calls and one n^2 x n^2 inverse per stage; a
-    singular J gives None, and the stage mixes.
+    with lo = I - a B(mu) and hi = I + a B(mu), over all n^2 of them.
+    It is exact for a linear B, as every builtin B is; for any other B
+    the chord steps soon stop paying and the stage mixes.  B(mu) is the
+    sweep's, so J costs n^2 further B calls and one n^2 x n^2 inverse
+    per stage; a singular J gives None, and the stage mixes.
     """
 
     def sweep(mu):
@@ -324,12 +324,10 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
         lo, hi = _half_factors((2.0 * a) * b)
         units = np.eye(n * n).reshape(n * n, n, n)
         bk = np.array([b_map(e) for e in units])
-        # Row k is vec of (lo mu) B(E_k) - B(E_k) (mu hi), the B-term of J's column k.
-        terms = (lo.dot(mu) @ bk - bk @ mu.dot(hi)).reshape(n * n, n * n)
-        # kron(lo, hi^T) by broadcasting: np.kron's own overhead is larger at these sizes.
-        kron = (lo[:, None, :, None] * hi.T[None, :, None, :]).reshape(n * n, n * n)
+        # Row k is vec of the defect's derivative at mu along E_k, J's column k.
+        rows = lo @ units @ hi + a * (lo.dot(mu) @ bk - bk @ mu.dot(hi))
         try:
-            return np.linalg.inv(kron + a * terms.T)
+            return np.linalg.inv(rows.reshape(n * n, n * n).T)
         except np.linalg.LinAlgError:
             return None
 

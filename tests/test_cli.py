@@ -200,6 +200,22 @@ class TestDumpConfig:
         assert main(argv) == 0
         assert RunConfig(**parse_config_file(out)) == RunConfig(**values)
 
+    @pytest.mark.parametrize("out", ["run#1.cfg", " run.cfg", "run.cfg ", "run\n.cfg"])
+    def test_value_the_grammar_cannot_hold_is_config_error(self, out, tmp_path, capsys, monkeypatch):
+        # A '#' starts a comment and the parser strips each value, so such
+        # an out would not re-parse as written; no file is written either.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match="^out = "):
+            dump_config(RunConfig(out=out))
+        assert main(["dump-config", "--out", out]) == 2
+        assert "config error: out = " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_output_path_may_hold_a_hash(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--steps", "2", "--out", "a#b.csv"]) == 0
+        assert len(read_csv(tmp_path / "a#b.csv")) == 3
+
 
 class TestRunCommand:
     def test_writes_csv_and_summary(self, tmp_path, capsys):
@@ -524,6 +540,16 @@ class TestConvergenceCommand:
         slope_line = [ln for ln in lines if ln.startswith("fitted slope:")][0]
         assert 1.8 < float(slope_line.split(":")[1]) < 2.2
         assert out.read_text() == "\n".join(lines[:4]) + "\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("system", ["rigidbody", "toda"])
+    def test_zero_errors_print_a_nan_slope_without_warning(self, system, capsys):
+        # At scale 1e-300 every step size reproduces the reference exactly.
+        argv = ["convergence", "--system", system, "--h-list", "0.2,0.1,0.05", "--t-final", "1", "--scale", "1e-300"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == ["0.2,0.0", "0.1,0.0", "0.05,0.0", "fitted slope: nan"]
+        assert captured.err == ""
 
     def test_needs_three_points(self, capsys):
         code = main(["convergence", "--h-list", "0.2,0.1", "--t-final", "1.0"])

@@ -317,6 +317,14 @@ class TestConvergenceStudy:
         assert report.errors[0] == report.errors[1]
         assert math.isnan(report.fitted_slope)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_errors_fit_no_slope(self):
+        # An equilibrium is stepped exactly at every step size, so every
+        # error is zero and log(error) has nothing to fit.
+        report = convergence_study(RigidBody(), [0.2, 0.1], 1.0, mu0=np.zeros((3, 3)))
+        assert report.errors == (0.0, 0.0)
+        assert math.isnan(report.fitted_slope)
+
     def test_input_validation(self):
         cases = [
             ([0.1], 1.0, None, "two step sizes"),

@@ -128,6 +128,23 @@ def _stage_defect(mu, mu_prev, a, system):
     return mu - a * (bmu - mu @ b) - (a * a) * (bmu @ b) - mu_prev
 
 
+def _jacobian_reference(mu, mu_prev, a, system, t=1e-3):
+    """The stage defect's Jacobian at mu in row-major vec, by finite differences.
+
+    Column k is (4 cd(t) - cd(2t)) / 3, cd(t) being the central difference
+    of step t along the unit matrix E_k.  The defect of a linear B is cubic
+    in t, so the extrapolation cancels the t^2 term and leaves rounding only.
+    """
+    n = len(mu)
+
+    def cd(e, t):
+        step = t * e
+        return (_stage_defect(mu + step, mu_prev, a, system) - _stage_defect(mu - step, mu_prev, a, system)) / (2 * t)
+
+    units = np.eye(n * n).reshape(n * n, n, n)
+    return np.array([((4 * cd(e, t) - cd(e, 2 * t)) / 3).ravel() for e in units]).T
+
+
 def _picard_stage(mu_prev, h_i, system, tol, max_iters=10_000, relax=1.0):
     """Plain Picard stage solve, the reference for the mixed solver.
 
@@ -487,6 +504,61 @@ class TestChordPhase:
         assert spy.calls == st.iters + 16
         defect = _stage_defect(st.mu_stage, mu, 0.05, spy.system)
         assert np.linalg.norm(defect) <= 1e-13 * (1.0 + np.linalg.norm(mu))
+
+    @pytest.mark.parametrize(
+        "sys, tableau, h, built",
+        [
+            (TodaExtended(4), "yoshida4", 0.1, 3),
+            (TodaExtended(4), "yoshida4", 0.14, 2),
+            (RigidBody(), "midpoint", 1.0, 1),
+        ],
+        ids=["toda-yoshida4-0.1", "toda-yoshida4-0.14", "rigid-midpoint-1"],
+    )
+    def test_jacobian_is_the_defect_derivative(self, sys, tableau, h, built, monkeypatch):
+        # The inverted matrix is the stage defect's Jacobian at the gating
+        # sweep's iterate, the last B argument before the first unit-matrix
+        # probe B(E_0), checked column by column against finite differences.
+        inverses = _spy_on(monkeypatch, np.linalg, "inv")
+        args = _spy_on(monkeypatch, sys, "B")
+        cfg = _cfg(tableau=builtin(tableau))
+        mu = sys.initial_state(0)
+        unit = np.eye(len(mu) ** 2)[0].reshape(mu.shape)
+        checked = 0
+        for w in cfg.tableau.b:
+            args.clear()
+            inverses.clear()
+            st = solve_stage(mu, h * w, sys, cfg)
+            if inverses:
+                ((jac,),) = inverses
+                probe = next(i for i, (x,) in enumerate(args) if np.array_equal(x, unit))
+                ref = _jacobian_reference(args[probe - 1][0], mu, h * w / 2.0, sys)
+                assert np.max(np.abs(jac - ref)) <= 1e-10 * np.max(np.abs(ref))
+                checked += 1
+            mu = st.mu_half
+        assert checked == built
+
+    def test_singular_jacobian_mixes_as_without_chord_steps(self, monkeypatch):
+        # A chord stage whose Jacobian inverse raises LinAlgError takes no
+        # chord step: it mixes from the sixth sweep on, bit for bit like
+        # the same stage with the chord phase switched off.
+        sys = TodaExtended(4)
+        mu = sys.initial_state(0)
+        chord = solve_stage(mu, 0.1, sys, _cfg())
+        attempts = []
+
+        def singular(m):
+            attempts.append(m)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        st = solve_stage(mu, 0.1, sys, _cfg())
+        assert len(attempts) == 1
+        monkeypatch.setattr("isork.integrator._CHORD_MAX_N", 0)
+        ref = solve_stage(mu, 0.1, sys, _cfg())
+        assert len(attempts) == 1
+        for name in ("mu_half", "mu_stage", "iters"):
+            assert np.array_equal(getattr(st, name), getattr(ref, name))
+        assert st.iters > chord.iters
 
     @pytest.mark.parametrize(
         "sys, h",
