@@ -42,6 +42,8 @@ baseline.
 from __future__ import annotations
 
 import math
+import types
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,7 +184,9 @@ _FIT_PERIOD = 2
 # plain sweep left a share in _CHORD_GATE = (low, high] of the residual
 # before it: contracting, but too slowly to finish plain.  Each chord step
 # must cut the residual at least _CHORD_CUT-fold (see `_fixed_point`).
-_CHORD_MAX_N = 6
+# Above n = 8 the n^2 x n^2 inverse costs Toda midpoint more than its
+# chord steps save (README's table).
+_CHORD_MAX_N = 8
 _CHORD_GATE = (0.1, 0.9)
 _CHORD_CUT = 4.0
 
@@ -288,6 +292,37 @@ def _fixed_point(sweep, x0, scale, max_iters, linearize=None):
     raise NonConvergenceError(max_iters, residual)
 
 
+# owner -> function -> {n^2: stack of B(E_k)}; see `_unit_images`.
+_UNIT_IMAGES = weakref.WeakKeyDictionary()
+
+
+def _unit_images(b_map, units):
+    """The read-only stack [B(E_k)] over the n x n unit matrices `units`, once per B and n.
+
+    B is a pure function of its argument, so the stack is a constant of
+    the map.  It is held weakly under the map's owner (the instance of a
+    bound method, else the map itself; owners equal by == share it) and
+    then the method's function, so it keeps no system alive and a B
+    swapped on the class or the instance builds its own.  An owner or
+    function that cannot be hashed or weakly referenced gets a fresh
+    stack on every call.  A B that raises stores nothing; two threads
+    may build the same stack.
+    """
+    owner = fn = b_map
+    if isinstance(b_map, types.MethodType):
+        owner, fn = b_map.__self__, b_map.__func__
+    try:
+        table = _UNIT_IMAGES.setdefault(owner, weakref.WeakKeyDictionary()).setdefault(fn, {})
+    except TypeError:
+        table = {}
+    bk = table.get(len(units))
+    if bk is None:
+        bk = np.array([b_map(e) for e in units])
+        bk.flags.writeable = False
+        table[len(units)] = bk
+    return bk
+
+
 def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     """Solve mu = mu_prev + a [B(mu), mu] + a^2 B(mu) mu B(mu) from mu_prev.
 
@@ -306,8 +341,10 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     with lo = I - a B(mu) and hi = I + a B(mu), over all n^2 of them.
     It is exact for a linear B, as every builtin B is; for any other B
     the chord steps soon stop paying and the stage mixes.  B(mu) is the
-    sweep's, so J costs n^2 further B calls and one n^2 x n^2 inverse
-    per stage; a singular J gives None, and the stage mixes.
+    sweep's, and the chord phase relies on B being a pure function of
+    its argument: the n^2 images B(E_k) are built once per system and
+    size (`_unit_images`), so J costs one n^2 x n^2 inverse per stage;
+    a singular J gives None, and the stage mixes.
     """
 
     def sweep(mu):
@@ -323,7 +360,7 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
         n = len(mu)
         lo, hi = _half_factors((2.0 * a) * b)
         units = np.eye(n * n).reshape(n * n, n, n)
-        bk = np.array([b_map(e) for e in units])
+        bk = _unit_images(b_map, units)
         # Row k is vec of the defect's derivative at mu along E_k, J's column k.
         rows = lo @ units @ hi + a * (lo.dot(mu) @ bk - bk @ mu.dot(hi))
         try:

@@ -20,9 +20,11 @@ pairing <xi, alpha> = trace(xi^dagger alpha):
 
 Every analytic gradient here is validated against central finite
 differences in the test suite; B maps are pure functions evaluated
-fresh at every solver iteration.  System objects are immutable after
-construction (the Laplacian's pseudoinverse blocks are precomputed),
-so one instance can serve any number of concurrent trajectories.
+fresh at every solver iteration, and the stage solver's chord phase
+relies on that to keep one stack of unit images B(E_k) per system and
+size.  System objects are immutable after construction (the
+Laplacian's pseudoinverse blocks are precomputed), so one instance can
+serve any number of concurrent trajectories.
 """
 
 from __future__ import annotations

@@ -1,8 +1,14 @@
 """Stage solves, macro steps, cotangent form, and reference baselines."""
 
+import gc
 import math
 import pickle
+import threading
 import traceback
+import types
+import weakref
+from dataclasses import dataclass
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -516,13 +522,13 @@ class TestChordPhase:
     )
     def test_jacobian_is_the_defect_derivative(self, sys, tableau, h, built, monkeypatch):
         # The inverted matrix is the stage defect's Jacobian at the gating
-        # sweep's iterate, the last B argument before the first unit-matrix
-        # probe B(E_0), checked column by column against finite differences.
+        # sweep's iterate, the stage's _PLAIN_SWEEPS-th B argument, checked
+        # column by column against finite differences.  Only the first
+        # chord stage probes the unit matrices, after that argument.
         inverses = _spy_on(monkeypatch, np.linalg, "inv")
         args = _spy_on(monkeypatch, sys, "B")
         cfg = _cfg(tableau=builtin(tableau))
         mu = sys.initial_state(0)
-        unit = np.eye(len(mu) ** 2)[0].reshape(mu.shape)
         checked = 0
         for w in cfg.tableau.b:
             args.clear()
@@ -530,8 +536,7 @@ class TestChordPhase:
             st = solve_stage(mu, h * w, sys, cfg)
             if inverses:
                 ((jac,),) = inverses
-                probe = next(i for i, (x,) in enumerate(args) if np.array_equal(x, unit))
-                ref = _jacobian_reference(args[probe - 1][0], mu, h * w / 2.0, sys)
+                ref = _jacobian_reference(args[_PLAIN_SWEEPS - 1][0], mu, h * w / 2.0, sys)
                 assert np.max(np.abs(jac - ref)) <= 1e-10 * np.max(np.abs(ref))
                 checked += 1
             mu = st.mu_half
@@ -597,6 +602,149 @@ class TestChordPhase:
         assert len(traj) == n_steps + 1
         spec0 = spectrum(mu0)
         assert np.max(np.abs(spectrum(traj[-1][0]) - spec0)) < 1e-13 * (1.0 + np.max(np.abs(spec0)))
+
+
+@dataclass
+class _DataToda(TodaExtended):
+    """Toda n = 4 as a dataclass: eq=True clears __hash__, so it cannot key a dict."""
+
+    size: int = 4
+    calls: int = 0
+
+    def __post_init__(self):
+        super().__init__(self.size)
+
+    def B(self, w):
+        self.calls += 1
+        return super().B(w)
+
+
+class _SlotsToda:
+    """Toda n = 4's B on a __slots__ class, which cannot be weakly referenced."""
+
+    __slots__ = ("toda", "calls")
+
+    def __init__(self):
+        self.toda, self.calls = TodaExtended(4), 0
+
+    def B(self, w):
+        self.calls += 1
+        return self.toda.B(w)
+
+
+def _doubled_toda_B(system, w):
+    return 2.0 * (w.T * system._b_mask)
+
+
+class TestUnitImages:
+    # The chord phase builds the images B(E_k) of the n^2 unit matrices
+    # once per system and size, held weakly, and rebuilds them for a B
+    # swapped on the class or the instance.  The Toda n = 4 stage at
+    # h = 0.1 from initial_state(0) takes chord steps.
+
+    def test_second_chord_stage_makes_one_call_per_sweep(self):
+        spy = _CountingB(TodaExtended(4))
+        mu = spy.system.initial_state(0)
+        first = solve_stage(mu, 0.1, spy, _cfg())
+        assert spy.calls == first.iters + 16
+        spy.calls = 0
+        second = solve_stage(mu, 0.1, spy, _cfg())
+        assert spy.calls == second.iters
+        for name in ("mu_half", "mu_stage", "iters"):
+            assert np.array_equal(getattr(second, name), getattr(first, name))
+
+    def test_dropped_system_is_collected(self, monkeypatch):
+        inverses = _spy_on(monkeypatch, np.linalg, "inv")
+        sys = TodaExtended(4)
+        solve_stage(sys.initial_state(0), 0.1, sys, _cfg())
+        assert len(inverses) == 1
+        dropped = weakref.ref(sys)
+        del sys
+        gc.collect()
+        assert dropped() is None
+
+    @pytest.mark.parametrize("make", [_DataToda, _SlotsToda], ids=["unhashable-dataclass", "slots"])
+    def test_owner_that_cannot_key_probes_every_stage(self, make, monkeypatch):
+        # Such an owner builds the images at every chord stage, as if there
+        # were no cache, and its records are those of a plain TodaExtended(4).
+        inverses = _spy_on(monkeypatch, np.linalg, "inv")
+        sys, cfg = make(), _cfg(tableau=builtin("yoshida4"))
+        mu0 = TodaExtended(4).initial_state(0)
+        traj = run_trajectory(mu0, sys, cfg, 0.1, 3)
+        sweeps = sum(st.iters for _, stages in traj for st in stages)
+        assert len(inverses) > 1 and sys.calls == sweeps + 16 * len(inverses)
+        ref = run_trajectory(mu0, TodaExtended(4), cfg, 0.1, 3)
+        for (mu, stages), (mu_ref, stages_ref) in zip(traj, ref, strict=True):
+            assert np.array_equal(mu, mu_ref)
+            for st, st_ref in zip(stages, stages_ref, strict=True):
+                assert np.array_equal(st.mu_stage, st_ref.mu_stage) and st.iters == st_ref.iters
+
+    def test_raising_probe_stores_nothing(self):
+        # B raises on its third unit-matrix probe: the error propagates and
+        # the next chord stage probes all 16 unit matrices again.
+        spy = _FaultAtCall(TodaExtended(4), _PLAIN_SWEEPS + 3, "linalg")
+        mu = spy.system.initial_state(0)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            solve_stage(mu, 0.1, spy, _cfg())
+        assert spy.calls == spy.at
+        st = solve_stage(mu, 0.1, spy, _cfg())
+        assert spy.calls - spy.at == st.iters + 16
+        assert np.array_equal(st.mu_half, solve_stage(mu, 0.1, TodaExtended(4), _cfg()).mu_half)
+
+    @pytest.mark.parametrize("where", ["instance", "class"])
+    def test_swapped_B_gets_its_own_images(self, where, monkeypatch):
+        # A B swapped on the instance or the class after a chord stage keeps
+        # the owner but not the function, so it probes the unit matrices
+        # again and solves the stage of the swapped flow bit for bit.
+        sys = TodaExtended(4)
+        mu = sys.initial_state(0)
+        solve_stage(mu, 0.1, sys, _cfg())
+        calls = []
+
+        def doubled(system, w):
+            calls.append(w)
+            return _doubled_toda_B(system, w)
+
+        if where == "instance":
+            sys.B = types.MethodType(doubled, sys)
+        else:
+            monkeypatch.setattr(TodaExtended, "B", doubled)
+        st = solve_stage(mu, 0.05, sys, _cfg())
+        assert len(calls) == st.iters + 16
+        fresh = TodaExtended(4)
+        fresh.B = lambda w: _doubled_toda_B(fresh, w)
+        ref = solve_stage(mu, 0.05, fresh, _cfg())
+        for name in ("mu_half", "mu_stage", "iters"):
+            assert np.array_equal(getattr(st, name), getattr(ref, name))
+
+    def test_concurrent_stages_share_one_system(self):
+        # Four threads solve the same chord stage on each of a few fresh
+        # systems at once, and all get the serial stage bit for bit,
+        # whichever thread builds (or builds again) a system's images.
+        mu = TodaExtended(4).initial_state(0)
+        ref = solve_stage(mu, 0.1, TodaExtended(4), _cfg())
+        systems = [TodaExtended(4) for _ in range(8)]
+        barrier = threading.Barrier(4, timeout=60)
+        results = []
+
+        def work():
+            for system in systems:
+                barrier.wait()
+                results.append(solve_stage(mu, 0.1, system, _cfg()))
+
+        interval = getswitchinterval()
+        setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(results) == 32
+        for st in results:
+            assert np.array_equal(st.mu_half, ref.mu_half) and st.iters == ref.iters
 
 
 class TestMacroStep:
