@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import types
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -292,35 +291,32 @@ def _fixed_point(sweep, x0, scale, max_iters, linearize=None):
     raise NonConvergenceError(max_iters, residual)
 
 
-# owner -> function -> {n^2: stack of B(E_k)}; see `_unit_images`.
-_UNIT_IMAGES = weakref.WeakKeyDictionary()
+# The last chord stage's (owner, function, n) and its (units, images); see `_unit_images`.
+_UNIT_SLOT = (None, None, 0), None
 
 
-def _unit_images(b_map, units):
-    """The read-only stack [B(E_k)] over the n x n unit matrices `units`, once per B and n.
+def _unit_images(b_map, n):
+    """The read-only n x n unit matrices E_k, row-major in k, and their images [B(E_k)].
 
-    B is a pure function of its argument, so the stack is a constant of
-    the map.  It is held weakly under the map's owner (the instance of a
-    bound method, else the map itself; owners equal by == share it) and
-    then the method's function, so it keeps no system alive and a B
-    swapped on the class or the instance builds its own.  An owner or
-    function that cannot be hashed or weakly referenced gets a fresh
-    stack on every call.  A B that raises stores nothing; two threads
-    may build the same stack.
+    B is a pure function, so the images are a constant of the map.  One
+    slot keeps the last build, matched by identity on the map's owner
+    (a bound method's instance, else the map), function (the method's,
+    else the map) and n: any B is served, a swapped B builds anew, only
+    the last map is kept alive, and maps used in turn rebuild at each
+    switch.  A B that raises stores nothing.
     """
+    global _UNIT_SLOT
     owner = fn = b_map
     if isinstance(b_map, types.MethodType):
         owner, fn = b_map.__self__, b_map.__func__
-    try:
-        table = _UNIT_IMAGES.setdefault(owner, weakref.WeakKeyDictionary()).setdefault(fn, {})
-    except TypeError:
-        table = {}
-    bk = table.get(len(units))
-    if bk is None:
-        bk = np.array([b_map(e) for e in units])
-        bk.flags.writeable = False
-        table[len(units)] = bk
-    return bk
+    (last_owner, last_fn, last_n), images = _UNIT_SLOT
+    if last_owner is owner and last_fn is fn and last_n == n:
+        return images
+    units = np.eye(n * n).reshape(n * n, n, n)
+    bk = np.array([b_map(e) for e in units])
+    units.flags.writeable = bk.flags.writeable = False
+    _UNIT_SLOT = (owner, fn, n), (units, bk)
+    return units, bk
 
 
 def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
@@ -342,9 +338,9 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     It is exact for a linear B, as every builtin B is; for any other B
     the chord steps soon stop paying and the stage mixes.  B(mu) is the
     sweep's, and the chord phase relies on B being a pure function of
-    its argument: the n^2 images B(E_k) are built once per system and
-    size (`_unit_images`), so J costs one n^2 x n^2 inverse per stage;
-    a singular J gives None, and the stage mixes.
+    its argument: the images B(E_k) of the last map and size are kept
+    (`_unit_images`), so J costs one n^2 x n^2 inverse per stage; a
+    singular J gives None, and the stage mixes.
     """
 
     def sweep(mu):
@@ -359,8 +355,7 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
         mu, b = result
         n = len(mu)
         lo, hi = _half_factors((2.0 * a) * b)
-        units = np.eye(n * n).reshape(n * n, n, n)
-        bk = _unit_images(b_map, units)
+        units, bk = _unit_images(b_map, n)
         # Row k is vec of the defect's derivative at mu along E_k, J's column k.
         rows = lo @ units @ hi + a * (lo.dot(mu) @ bk - bk @ mu.dot(hi))
         try:

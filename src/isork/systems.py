@@ -21,10 +21,10 @@ pairing <xi, alpha> = trace(xi^dagger alpha):
 Every analytic gradient here is validated against central finite
 differences in the test suite; B maps are pure functions evaluated
 fresh at every solver iteration, and the stage solver's chord phase
-relies on that to keep one stack of unit images B(E_k) per system and
-size.  System objects are immutable after construction (the
-Laplacian's pseudoinverse blocks are precomputed), so one instance can
-serve any number of concurrent trajectories.
+relies on that to keep the unit images B(E_k) of the last B and size
+in one slot, matched by identity.  System objects are immutable after
+construction (the Laplacian's pseudoinverse blocks are precomputed),
+so one instance can serve any number of concurrent trajectories.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from isork.integrator import (
     _MIXING_DEPTH,
     _PLAIN_SWEEPS,
     _AndersonMixer,
+    _unit_images,
     CotangentState,
     NonConvergenceError,
     StageLinAlgError,
@@ -632,15 +633,39 @@ class _SlotsToda:
         return self.toda.B(w)
 
 
+@dataclass
+class _MaskB:
+    """Toda n = 4's B as a callable dataclass: eq=True clears __hash__."""
+
+    mask: np.ndarray
+    calls: int = 0
+
+    def __call__(self, w):
+        self.calls += 1
+        return w.T * self.mask
+
+
+class _CallableToda:
+    """A duck-typed Toda n = 4 whose B is an unhashable callable, not a method."""
+
+    def __init__(self):
+        self.B = _MaskB(TodaExtended(4)._b_mask)
+
+    @property
+    def calls(self):
+        return self.B.calls
+
+
 def _doubled_toda_B(system, w):
     return 2.0 * (w.T * system._b_mask)
 
 
 class TestUnitImages:
-    # The chord phase builds the images B(E_k) of the n^2 unit matrices
-    # once per system and size, held weakly, and rebuilds them for a B
-    # swapped on the class or the instance.  The Toda n = 4 stage at
-    # h = 0.1 from initial_state(0) takes chord steps.
+    # The chord phase keeps the images B(E_k) of the n^2 unit matrices of
+    # the last B and size in one slot, matched by identity, and rebuilds
+    # them for any other B, a B swapped on the class or the instance
+    # included.  The Toda n = 4 stage at h = 0.1 from initial_state(0)
+    # takes chord steps.
 
     def test_second_chord_stage_makes_one_call_per_sweep(self):
         spy = _CountingB(TodaExtended(4))
@@ -653,31 +678,75 @@ class TestUnitImages:
         for name in ("mu_half", "mu_stage", "iters"):
             assert np.array_equal(getattr(second, name), getattr(first, name))
 
-    def test_dropped_system_is_collected(self, monkeypatch):
-        inverses = _spy_on(monkeypatch, np.linalg, "inv")
-        sys = TodaExtended(4)
-        solve_stage(sys.initial_state(0), 0.1, sys, _cfg())
-        assert len(inverses) == 1
-        dropped = weakref.ref(sys)
-        del sys
+    def test_only_the_last_map_is_kept(self):
+        # The slot holds the last chord stage's system until a chord stage
+        # on another system replaces it; then the first is collected and
+        # the second system's next stage makes one B call per sweep.
+        first, second = TodaExtended(4), _CountingB(TodaExtended(4))
+        mu = first.initial_state(0)
+        solve_stage(mu, 0.1, first, _cfg())
+        dropped = weakref.ref(first)
+        del first
+        gc.collect()
+        assert dropped() is not None
+        st = solve_stage(mu, 0.1, second, _cfg())
+        assert second.calls == st.iters + 16
         gc.collect()
         assert dropped() is None
+        second.calls = 0
+        st = solve_stage(mu, 0.1, second, _cfg())
+        assert second.calls == st.iters
 
-    @pytest.mark.parametrize("make", [_DataToda, _SlotsToda], ids=["unhashable-dataclass", "slots"])
-    def test_owner_that_cannot_key_probes_every_stage(self, make, monkeypatch):
-        # Such an owner builds the images at every chord stage, as if there
-        # were no cache, and its records are those of a plain TodaExtended(4).
+    @pytest.mark.parametrize(
+        "make", [_DataToda, _SlotsToda, _CallableToda], ids=["unhashable-dataclass", "slots", "unhashable-callable"]
+    )
+    def test_any_B_builds_its_images_once(self, make, monkeypatch):
+        # A system that cannot be hashed or weakly referenced, or whose B is
+        # an unhashable callable, builds the images at its first chord stage
+        # only, and its records are those of a plain TodaExtended(4).
         inverses = _spy_on(monkeypatch, np.linalg, "inv")
         sys, cfg = make(), _cfg(tableau=builtin("yoshida4"))
         mu0 = TodaExtended(4).initial_state(0)
         traj = run_trajectory(mu0, sys, cfg, 0.1, 3)
         sweeps = sum(st.iters for _, stages in traj for st in stages)
-        assert len(inverses) > 1 and sys.calls == sweeps + 16 * len(inverses)
+        assert len(inverses) > 1 and sys.calls == sweeps + 16
         ref = run_trajectory(mu0, TodaExtended(4), cfg, 0.1, 3)
         for (mu, stages), (mu_ref, stages_ref) in zip(traj, ref, strict=True):
             assert np.array_equal(mu, mu_ref)
             for st, st_ref in zip(stages, stages_ref, strict=True):
-                assert np.array_equal(st.mu_stage, st_ref.mu_stage) and st.iters == st_ref.iters
+                for name in ("mu_half", "mu_stage", "iters", "residual"):
+                    assert np.array_equal(getattr(st, name), getattr(st_ref, name))
+
+    def test_images_are_read_only_and_of_the_size_asked(self):
+        # One B map asked for two sizes in turn builds each size's images.
+        for n in (4, 3, 3):
+            units, bk = _unit_images(np.transpose, n)
+            assert np.array_equal(units, np.eye(n * n).reshape(n * n, n, n))
+            assert np.array_equal(bk, units.transpose(0, 2, 1))
+            for stack in (units, bk):
+                with pytest.raises(ValueError, match="read-only"):
+                    stack[0, 0, 0] = 1.0
+
+    def test_alternating_systems_match_each_alone(self):
+        # Two B maps of one size used in turn rebuild their images at each
+        # switch and solve every stage as each does alone, bit for bit.
+        mu = TodaExtended(4).initial_state(0)
+        plain, doubled = _CountingB(TodaExtended(4)), _CountingB(TodaExtended(4))
+        doubled.system.B = types.MethodType(_doubled_toda_B, doubled.system)
+        cases = [(plain, 0.1), (doubled, 0.05)]
+        alone = [[solve_stage(mu, h, spy, _cfg()) for _ in range(3)] for spy, h in cases]
+        for spy, _ in cases:
+            spy.calls = 0
+        turns = [[], []]
+        for _ in range(3):
+            for turn, (spy, h) in zip(turns, cases):
+                before = spy.calls
+                turn.append(solve_stage(mu, h, spy, _cfg()))
+                assert spy.calls - before == turn[-1].iters + 16
+        for turn, ref in zip(turns, alone, strict=True):
+            for st, st_ref in zip(turn, ref, strict=True):
+                for name in ("mu_half", "mu_stage", "iters", "residual"):
+                    assert np.array_equal(getattr(st, name), getattr(st_ref, name))
 
     def test_raising_probe_stores_nothing(self):
         # B raises on its third unit-matrix probe: the error propagates and
@@ -719,32 +788,46 @@ class TestUnitImages:
 
     def test_concurrent_stages_share_one_system(self):
         # Four threads solve the same chord stage on each of a few fresh
-        # systems at once, and all get the serial stage bit for bit,
-        # whichever thread builds (or builds again) a system's images.
+        # systems at once, then each a chord stage of its own system, two
+        # of each size and class, so each overwrites the slot under the
+        # others.  Every stage equals its serial stage bit for bit,
+        # whichever thread builds (or builds again) the images.
         mu = TodaExtended(4).initial_state(0)
         ref = solve_stage(mu, 0.1, TodaExtended(4), _cfg())
         systems = [TodaExtended(4) for _ in range(8)]
+        doubled = TodaExtended(4)
+        doubled.B = types.MethodType(_doubled_toda_B, doubled)
+        bodies = [RigidBody((1.0, 2.0, 3.0)), RigidBody((1.0, 5.0, 9.0))]
+        cases = [(TodaExtended(4), 0.15), (doubled, 0.05)] + [(body, 1.0) for body in bodies]
+        own_refs = [solve_stage(system.initial_state(0), h, system, _cfg()) for system, h in cases]
         barrier = threading.Barrier(4, timeout=60)
-        results = []
+        shared, own = [], []
 
-        def work():
+        def work(i):
             for system in systems:
                 barrier.wait()
-                results.append(solve_stage(mu, 0.1, system, _cfg()))
+                shared.append(solve_stage(mu, 0.1, system, _cfg()))
+            system, h = cases[i]
+            for _ in range(8):
+                barrier.wait()
+                own.append((i, solve_stage(system.initial_state(0), h, system, _cfg())))
 
         interval = getswitchinterval()
         setswitchinterval(1e-5)
         try:
-            threads = [threading.Thread(target=work) for _ in range(4)]
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
         finally:
             setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and len(results) == 32
-        for st in results:
+        assert not any(t.is_alive() for t in threads) and len(shared) == len(own) == 32
+        for st in shared:
             assert np.array_equal(st.mu_half, ref.mu_half) and st.iters == ref.iters
+        for i, st in own:
+            for name in ("mu_half", "mu_stage", "iters", "residual"):
+                assert np.array_equal(getattr(st, name), getattr(own_refs[i], name))
 
 
 class TestMacroStep:
