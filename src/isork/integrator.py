@@ -20,6 +20,14 @@ solver residual, while the dcay form leaks at the residual level.  The
 right-invariant variant swaps the signs of both halves, which is the
 same arithmetic as stepping with -h_i.
 
+The conjugation takes two solves, except when the system's context is
+unitary (J = I with a complex J, as for su(N)): there cay(xi)^{-1} is
+cay(xi)^dagger, so it is C mu_prev C^dagger with C = cay(h_i B(mu_c)),
+one solve and two products.  xi is not projected onto the algebra, so
+a B that leaves it shows as spectral drift, and so does the stage's
+own roundoff off the algebra, which builds up over long runs.  A
+system without a context, and every other context, keeps two solves.
+
 Three loops serve every stepper.  `_fixed_point` is the sweep loop of
 every implicit solve (the reduced stage, the Cayley half-step stage
 and the cotangent increments): plain sweeps, then chord steps for a
@@ -379,7 +387,9 @@ def solve_stage(mu_prev, h_i: float, system, cfg: StepperConfig) -> StageState:
     (mu_c, b), iters, residual = _reduced_stage(mu_prev, sign * h_i / 2.0, system.B, cfg)
     xi = (sign * h_i) * b
     if cfg.update_form == "conjugation":
-        mu_half = cayley_conjugate(xi, mu_prev)
+        # Resolved by name at each call: the benchmark's tracer swaps this name.
+        unitary = getattr(getattr(system, "context", None), "unitary", False)
+        mu_half = cayley_conjugate(xi, mu_prev, unitary=unitary)
     else:
         mu_half = dcay_inv(-xi, mu_c)
     return StageState(mu_half=mu_half, mu_stage=mu_c, iters=iters, residual=residual)

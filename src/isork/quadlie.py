@@ -9,8 +9,13 @@ transform
     cay(xi) = (I - xi/2)^{-1} (I + xi/2)
 
 maps the algebra into the group exactly (no series truncation, one
-linear solve per application).  Its right-trivialized differential and
-the inverse of that differential are
+linear solve per application).  The isospectral update conjugates by
+it, cay(xi) x cay(xi)^{-1}: two solves, or in a unitary context one
+solve and two products, C x C^dagger with C = cay(xi), since
+cay(xi)^{-1} = cay(xi)^dagger for skew-Hermitian xi.  xi is not
+projected onto the algebra, so a Hermitian part shows as spectral
+drift.  Its right-trivialized differential and the inverse of that
+differential are
 
     dcay_xi(eta)     = (I - xi/2)^{-1} eta (I + xi/2)^{-1}
     dcay_inv_xi(eta) = (I - xi/2) eta (I + xi/2)
@@ -98,6 +103,10 @@ class QuadraticStructure:
     of the algebra is taken from J's dtype: a complex J means complex
     entries are admissible.  `traceless` additionally restricts the
     algebra to trace-free matrices (su(N) rather than u(N)).
+
+    `identity_j` (J = I) and `unitary` (J = I with a complex J: u(n) or
+    su(n)) are computed on first use and then kept, so a per-stage test
+    is an attribute read and building a context costs no comparison.
     """
 
     n: int
@@ -108,9 +117,13 @@ class QuadraticStructure:
     def dtype(self) -> np.dtype:
         return np.dtype(np.complex128) if np.iscomplexobj(self.J) else np.dtype(np.float64)
 
-    @property
+    @functools.cached_property
     def identity_j(self) -> bool:
         return bool(np.array_equal(self.J, np.eye(self.n)))
+
+    @functools.cached_property
+    def unitary(self) -> bool:
+        return self.identity_j and np.iscomplexobj(self.J)
 
     def algebra_residual(self, x: np.ndarray):
         """||J x + x^dagger J||_F, plus |trace x| when traceless: a float, or an array (...) for a stack."""
@@ -233,12 +246,20 @@ def dcay_inv(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return lo.dot(eta).dot(hi)
 
 
-def cayley_conjugate(xi: np.ndarray, x: np.ndarray) -> np.ndarray:
+def cayley_conjugate(xi: np.ndarray, x: np.ndarray, unitary: bool = False) -> np.ndarray:
     """cay(xi) x cay(xi)^{-1} without forming either inverse.
 
-    Uses the exact commutation of (I - xi/2) and (I + xi/2); the result
-    is similar to x, so its spectrum agrees with x's to solve roundoff.
+    Two solves, using the exact commutation of (I - xi/2) and
+    (I + xi/2); the result is similar to x, so its spectrum agrees with
+    x's to solve roundoff.  unitary=True (xi skew-Hermitian, as in a
+    unitary context) takes one solve and two products, C x C^dagger with
+    C = cay(xi) = cay(xi)^{-dagger}.  xi is not projected: a Hermitian
+    part makes that a congruence, not a similarity, and it shows as
+    spectral drift rather than being hidden.
     """
+    if unitary:
+        c = cayley(xi)
+        return c.dot(x).dot(c.conj().T)
     lo, hi = _half_factors(xi)
     a = np.linalg.solve(lo, hi.dot(x))
     return _solve_right(a, hi).dot(lo)

@@ -430,6 +430,11 @@ class ZeitlinSphere(IsospectralSystem):
     so the casimir_3 and casimir_5 diagnostics record the imaginary
     part (the real part is identically zero), while even orders record
     the real part; see `casimirs`.
+
+    The context is su(N), a unitary one, so each conjugation update is
+    C mu C^dagger with C = cay(h_i B(mu_c)): one solve, not two.  B is
+    not projected onto su(N) there, so a B with a Hermitian part shows
+    as spectral drift.
     """
 
     name = "zeitlin"

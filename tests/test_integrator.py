@@ -13,6 +13,7 @@ from sys import getswitchinterval, setswitchinterval
 import numpy as np
 import pytest
 
+from isork.diagnostics import run_recorded
 from isork.integrator import (
     _CHORD_MAX_N,
     _FIT_PERIOD,
@@ -36,6 +37,7 @@ from isork.integrator import (
 from isork.quadlie import (
     _half_factors,
     _solve_right,
+    QuadraticStructure,
     cayley_conjugate,
     commutator,
     dcay,
@@ -43,6 +45,7 @@ from isork.quadlie import (
     membership_residuals,
     orthogonal_structure,
     random_algebra_element,
+    special_unitary_structure,
     spectrum,
 )
 from isork.systems import RigidBody, TodaExtended, ZeitlinSphere
@@ -1210,6 +1213,102 @@ def test_which_stages_reach_the_anderson_mixer():
     assert min(st.iters for _, stages in traj for st in stages) > _PLAIN_SWEEPS
 
 
+def _spy_on_updates(monkeypatch):
+    """Record (xi, x, unitary, result) of every conjugation update solve_stage makes."""
+    import isork.integrator as integrator
+
+    calls = []
+
+    def spy(xi, x, unitary=False):
+        calls.append((xi, x, unitary, cayley_conjugate(xi, x, unitary=unitary)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(integrator, "cayley_conjugate", spy)
+    return calls
+
+
+def _u22_flow():
+    # u(2, 2): complex, J = diag(1, 1, -1, -1) is not the identity.
+    ctx = QuadraticStructure(4, np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))
+    flow = _ConstantFlow(random_algebra_element(ctx, 3))
+    flow.context = ctx
+    return flow, random_algebra_element(ctx, 4)
+
+
+def _su4_flow_without_context():
+    ctx = special_unitary_structure(4)
+    return _ConstantFlow(random_algebra_element(ctx, 3)), random_algebra_element(ctx, 4)
+
+
+class _LeakyZeitlin(ZeitlinSphere):
+    """Zeitlin flow whose B adds a fixed Hermitian part, so it leaves su(N)."""
+
+    def __init__(self, N, leak):
+        super().__init__(N)
+        self.leak = leak
+
+    def B(self, w):
+        return super().B(w) + self.leak
+
+
+class TestUnitaryUpdate:
+    # A unitary context (J = I, complex) updates with one solve, C mu C^dagger;
+    # every other stage keeps the two-solve update bit for bit.
+
+    @pytest.mark.parametrize("variant", ["left", "right"])
+    @pytest.mark.parametrize("N", [5, 9, 17, 33])
+    def test_zeitlin_stages_match_two_solves(self, N, variant, monkeypatch):
+        calls = _spy_on_updates(monkeypatch)
+        sys = ZeitlinSphere(N)
+        cfg = _cfg(variant=variant, tableau=builtin("yoshida4"))
+        isospectral_sdirk_step(sys.initial_state(N), sys, cfg, 0.0025)
+        assert len(calls) == 3
+        for xi, x, unitary, got in calls:
+            two = cayley_conjugate(xi, x)
+            assert unitary
+            assert np.linalg.norm(got - two) <= 1e-14 * np.linalg.norm(two)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (RigidBody(), RigidBody().initial_state(1)),
+            lambda: (TodaExtended(4), TodaExtended(4).initial_state(1)),
+            _su4_flow_without_context,
+            _u22_flow,
+        ],
+        ids=["rigidbody", "toda", "complex-no-context", "complex-J-not-I"],
+    )
+    def test_other_stages_keep_two_solve_bits(self, make, monkeypatch):
+        sys, mu = make()
+        calls = _spy_on_updates(monkeypatch)
+        isospectral_sdirk_step(mu, sys, _cfg(tableau=builtin("yoshida4")), 0.05)
+        assert len(calls) == 3
+        for xi, x, unitary, got in calls:
+            assert not unitary
+            assert np.array_equal(got, cayley_conjugate(xi, x))
+
+    @pytest.mark.parametrize(
+        "leak", [1e-6 * np.eye(9), np.diag(np.linspace(-1e-6, 2e-6, 9))], ids=["scalar", "diagonal"]
+    )
+    def test_B_off_the_algebra_shows_as_spectral_drift(self, leak):
+        # The update does not project xi onto su(N), so a Hermitian part of
+        # B makes C mu C^dagger a congruence that moves the spectrum.
+        sys = _LeakyZeitlin(9, leak)
+        records = run_recorded(sys, sys.initial_state(0), _cfg(), 0.0025, 200)
+        assert max(r.spectral_drift for r in records) > 1e-11
+
+    @pytest.mark.parametrize(
+        "sys, tableau, h",
+        [(ZeitlinSphere(9), "midpoint", 0.0025), (RigidBody(), "yoshida4", 0.05)],
+        ids=["zeitlin-midpoint", "rigidbody-yoshida4"],
+    )
+    def test_update_is_reached_by_name_once_per_stage(self, sys, tableau, h, monkeypatch):
+        # The benchmark's tracer times the update by swapping this module name.
+        calls = _spy_on_updates(monkeypatch)
+        _, stages = isospectral_sdirk_step(sys.initial_state(2), sys, _cfg(tableau=builtin(tableau)), h)
+        assert len(calls) == len(stages) == len(builtin(tableau).b)
+
+
 def test_one_sweep_loop_call_per_stage(monkeypatch):
     # Every implicit stage, reduced, baseline or cotangent, is one run
     # of the shared sweep loop.
@@ -1265,6 +1364,8 @@ class TestProductsMatchMatmul:
         lo, hi = _half_factors(xi)
         ref = _solve_right(np.linalg.solve(lo, hi @ x), hi) @ lo
         assert np.array_equal(cayley_conjugate(xi, x), ref)
+        c = np.linalg.solve(lo, hi)
+        assert np.array_equal(cayley_conjugate(xi, x, unitary=True), c @ x @ c.conj().T)
         assert np.array_equal(dcay_inv(xi, x), lo @ x @ hi)
 
     def test_commutator_and_momentum_map(self, n, dtype, left, right):

@@ -21,6 +21,7 @@ from isork.quadlie import (  # noqa: E402
     dcay,
     dcay_inv,
     random_algebra_element,
+    special_unitary_structure,
     spectrum,
 )
 from isork.systems import (  # noqa: E402
@@ -61,6 +62,19 @@ def test_cayley_conjugate_is_a_similarity(case):
     c = cayley(xi)
     y = cayley_conjugate(xi, x)
     assert np.linalg.norm(y @ c - c @ x) <= 1e-12 * (1.0 + np.linalg.norm(x))
+
+
+@SEEDED
+@given(st.integers(2, 8), st.floats(0.0, 4.0), st.integers(0, 2**32))
+def test_unitary_cayley_conjugate_keeps_spectrum_and_algebra(n, scale, seed):
+    # C x C^dagger with C = cay(xi), xi and x in su(n): a unitary similarity.
+    ctx = special_unitary_structure(n)
+    xi = scale * random_algebra_element(ctx, seed)
+    x = random_algebra_element(ctx, seed + 1)
+    y = cayley_conjugate(xi, x, unitary=True)
+    bound = 1e-13 * (1.0 + np.linalg.norm(x))
+    assert np.abs(spectrum(y) - spectrum(x)).max() <= bound
+    assert np.linalg.norm(y + y.conj().T) <= bound
 
 
 @SEEDED

@@ -185,6 +185,45 @@ class TestDcay:
         assert np.allclose(cayley_conjugate(xi, x), q @ x @ np.linalg.inv(q), atol=1e-12)
 
 
+class TestUnitaryContext:
+    @pytest.mark.parametrize(
+        "ctx, identity_j, unitary",
+        [
+            (orthogonal_structure(4), True, False),
+            (special_unitary_structure(4), True, True),
+            (QuadraticStructure(4, np.eye(4, dtype=complex)), True, True),  # u(4)
+            (QuadraticStructure(4, np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)), False, False),
+            (QuadraticStructure(2, J2), False, False),
+        ],
+        ids=["so4", "su4", "u4", "u22", "sp2"],
+    )
+    def test_flags(self, ctx, identity_j, unitary):
+        assert (ctx.identity_j, ctx.unitary) == (identity_j, unitary)
+
+    def test_flags_are_kept_after_first_use(self):
+        ctx = special_unitary_structure(3)
+        assert "unitary" not in vars(ctx)
+        assert ctx.unitary
+        assert vars(ctx)["identity_j"] is vars(ctx)["unitary"] is True
+
+    def test_one_solve_matches_two_solves(self):
+        ctx = special_unitary_structure(6)
+        for seed in range(20):
+            xi, x = random_algebra_element(ctx, seed), random_algebra_element(ctx, seed + 100)
+            two = cayley_conjugate(xi, x)
+            assert np.linalg.norm(cayley_conjugate(xi, x, unitary=True) - two) <= 1e-14 * np.linalg.norm(two)
+
+    def test_one_solve_is_not_projected(self):
+        # A Hermitian part of xi makes C x C^dagger a congruence, not a
+        # similarity: the spectrum moves instead of the leak being hidden.
+        ctx = special_unitary_structure(5)
+        xi = random_algebra_element(ctx, 1) + 1e-6 * np.eye(5)
+        x = random_algebra_element(ctx, 2)
+        moved = np.abs(spectrum(cayley_conjugate(xi, x, unitary=True)) - spectrum(x)).max()
+        assert moved > 1e-8
+        assert np.abs(spectrum(cayley_conjugate(xi, x)) - spectrum(x)).max() < 1e-14
+
+
 def _loop_spectrum(a, real_tol=1e-9):
     """Canonical spectrum of one matrix, clustered by a while loop: the
     reference the stacked, vectorised `spectrum` must reproduce exactly."""
