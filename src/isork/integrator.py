@@ -8,7 +8,15 @@ substep size h_i the stage matrix mu_c solves
 
     (I - (h_i/2) B(mu_c)) mu_c (I + (h_i/2) B(mu_c)) = mu_prev
 
-by fixed-point iteration, and the next half point is either
+by fixed-point iteration.  The stopping test is the norm of the stage
+defect, which has two arithmetics, picked once per stage by the dtype
+of mu_prev.  A real stage (rigid body, Toda) forms it in three
+products, mu - a (B mu - mu B) - a^2 (B mu) B - mu_prev with a = h_i/2
+and B = B(mu), because the golden CSV pins those bits; a complex stage
+(Zeitlin's su(N)) in two, (mu - a B mu)(I + a B) - mu_prev, into
+buffers kept for the stage.  Neither assumes a structure of mu or B.
+
+The next half point is either
 
     dcay form:     (I + (h_i/2) B(mu_c)) mu_c (I - (h_i/2) B(mu_c))
     conjugation:   cay(h_i B(mu_c)) mu_prev cay(h_i B(mu_c))^{-1}
@@ -327,6 +335,50 @@ def _unit_images(b_map, n):
     return units, bk
 
 
+def _stage_sweep(mu_prev, a, b_map):
+    """The Picard sweep of a stage: mu -> ((mu, B(mu)), mu - defect, ||defect||_F).
+
+    The defect (I - a B) mu (I + a B) - mu_prev has two arithmetics,
+    picked here once per stage by the dtype of mu_prev.  A real stage
+    takes three products, mu - a (B mu - mu B) - a^2 (B mu) B - mu_prev,
+    the bits the golden CSV pins.  A complex stage takes two,
+    t + t ab - mu_prev with ab = a B and t = mu - ab mu, written with
+    out= into a (3, n, n) stack kept for the stage (the same bits as out
+    of place).  Neither assumes a structure of mu or B.
+    """
+    # ndarray.dot reaches the same BLAS gemm as @ (the same bits) at about half
+    # its dispatch cost on small matrices; it is no batched matmul, so stacks keep @.
+    if np.isrealobj(mu_prev):
+
+        def sweep(mu):
+            b = b_map(mu)
+            bmu = b.dot(mu)
+            defect = mu - a * (bmu - mu.dot(b)) - (a * a) * bmu.dot(b) - mu_prev
+            return (mu, b), mu - defect, _frobenius(defect)
+
+        return sweep
+    work = None
+
+    def complex_sweep(mu):
+        nonlocal work
+        b = b_map(mu)
+        # ndarray.dot writes only into its product's own dtype, and a mixer fit
+        # can widen the iterate (a complex64 mu_prev with a complex64 B).
+        dtype = np.result_type(mu, b)
+        if work is None or work[0].dtype != dtype:
+            work = tuple(np.empty((3,) + mu.shape, dtype))
+        ab, t, defect = work
+        np.multiply(a, b, out=ab)
+        ab.dot(mu, out=t)
+        np.subtract(mu, t, out=t)
+        t.dot(ab, out=defect)
+        np.add(t, defect, out=defect)
+        np.subtract(defect, mu_prev, out=defect)
+        return (mu, b), mu - defect, _frobenius(defect)
+
+    return complex_sweep
+
+
 def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     """Solve mu = mu_prev + a [B(mu), mu] + a^2 B(mu) mu B(mu) from mu_prev.
 
@@ -334,6 +386,11 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     stage-equation defect ||(I - a B) mu (I + a B) - mu_prev||_F of mu,
     within cfg.solver_tol * (1 + ||mu_prev||_F).  Each sweep's update
     is the Picard step mu - defect.
+
+    The dtype of mu_prev picks the defect's arithmetic once per stage
+    (`_stage_sweep`): three products for a real stage, whose bits the
+    golden CSV pins, and two for a complex one.  Nothing is projected
+    onto an algebra, so a B or a state that leaves it shows as drift.
 
     A real stage of size n <= _CHORD_MAX_N also gives `_fixed_point`
     the linearization for its chord phase: at the gating sweep's iterate
@@ -350,14 +407,7 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     (`_unit_images`), so J costs one n^2 x n^2 inverse per stage; a
     singular J gives None, and the stage mixes.
     """
-
-    def sweep(mu):
-        # ndarray.dot reaches the same BLAS gemm as @ (the same bits) at about half
-        # its dispatch cost on small matrices; it is no batched matmul, so stacks keep @.
-        b = b_map(mu)
-        bmu = b.dot(mu)
-        defect = mu - a * (bmu - mu.dot(b)) - (a * a) * bmu.dot(b) - mu_prev
-        return (mu, b), mu - defect, _frobenius(defect)
+    sweep = _stage_sweep(mu_prev, a, b_map)
 
     def linearize(result):
         mu, b = result

@@ -20,6 +20,7 @@ from isork.integrator import (
     _MIXING_DEPTH,
     _PLAIN_SWEEPS,
     _AndersonMixer,
+    _stage_sweep,
     _unit_images,
     CotangentState,
     NonConvergenceError,
@@ -35,6 +36,7 @@ from isork.integrator import (
     solve_stage,
 )
 from isork.quadlie import (
+    _frobenius,
     _half_factors,
     _solve_right,
     QuadraticStructure,
@@ -132,10 +134,17 @@ def _spy_on(monkeypatch, owner, name):
 
 
 def _stage_defect(mu, mu_prev, a, system):
-    """(I - a B(mu)) mu (I + a B(mu)) - mu_prev, in the library's arithmetic."""
+    """(I - a B(mu)) mu (I + a B(mu)) - mu_prev, in the library's arithmetic.
+
+    Three products for a real mu_prev, two for a complex one.
+    """
     b = system.B(mu)
-    bmu = b @ mu
-    return mu - a * (bmu - mu @ b) - (a * a) * (bmu @ b) - mu_prev
+    if np.isrealobj(mu_prev):
+        bmu = b @ mu
+        return mu - a * (bmu - mu @ b) - (a * a) * (bmu @ b) - mu_prev
+    ab = a * b
+    t = mu - ab @ mu
+    return t + t @ ab - mu_prev
 
 
 def _jacobian_reference(mu, mu_prev, a, system, t=1e-3):
@@ -364,6 +373,27 @@ class TestSolveStage:
         else:
             assert st.iters == ref_iters
             assert np.array_equal(st.mu_stage, ref)
+
+    def test_complex64_stage_widens_to_the_generator_dtype(self):
+        # A complex stage's work buffers take the dtype of the iterate and B
+        # combined, which the first sweep widens from a complex64 mu_prev to
+        # Zeitlin's complex128; the stage is still plain Picard bit for bit.
+        sys = ZeitlinSphere(N=9)
+        mu = sys.initial_state(1).astype(np.complex64)
+        ref, ref_iters = _picard_stage(mu, 0.005, sys, 1e-13)
+        st = solve_stage(mu, 0.005, sys, _cfg())
+        assert st.mu_stage.dtype == ref.dtype == np.complex128
+        assert st.iters == ref_iters
+        assert np.array_equal(st.mu_stage, ref)
+
+    def test_complex64_stage_follows_the_mixer_to_complex128(self):
+        # With a complex64 B the plain sweeps stay complex64; the mixer's
+        # first fit widens the iterate to complex128, and the buffers follow.
+        rng = np.random.default_rng(0)
+        b0, mu = (_operand(rng, 4, complex, "C").astype(np.complex64) for _ in range(2))
+        st = solve_stage(mu, 0.2, _ConstantFlow(b0), _cfg(solver_tol=1e-5))
+        assert st.iters > _PLAIN_SWEEPS + _FIT_PERIOD
+        assert st.mu_stage.dtype == np.complex128
 
     def test_failed_mixing_step_is_the_plain_update(self, monkeypatch):
         # A singular fit (repeated rows) and an overflowing one (a huge
@@ -1373,6 +1403,28 @@ class TestProductsMatchMatmul:
         a, b = _operand(rng, n, dtype, left), _operand(rng, n, dtype, right)
         assert np.array_equal(commutator(a, b), a @ b - b @ a)
         assert np.array_equal(momentum_map(CotangentState(a, b)), a.conj().T @ b)
+
+    def test_stage_sweep(self, n, dtype, left, right):
+        # A real stage keeps the three products the golden CSV pins; a
+        # complex one takes two, written into buffers it keeps.  The sweep
+        # returns (mu, B(mu)), mu - defect and the defect's norm; the second
+        # sweep reuses the first's buffers.
+        rng = np.random.default_rng(n)
+        mu, b = _operand(rng, n, dtype, left), _operand(rng, n, dtype, right)
+        mu_prev, a = _operand(rng, n, dtype, "C"), 0.05
+        if dtype == float:
+            bmu = b @ mu
+            ref = mu - a * (bmu - mu @ b) - (a * a) * (bmu @ b) - mu_prev
+        else:
+            ab = a * b
+            t = mu - ab @ mu
+            ref = t + t @ ab - mu_prev
+        sweep = _stage_sweep(mu_prev, a, lambda m: b)
+        for _ in range(2):
+            (got_mu, got_b), gx, residual = sweep(mu)
+            assert got_mu is mu and got_b is b
+            assert np.array_equal(gx, mu - ref)
+            assert residual == _frobenius(ref)
 
     def test_mixer_gram_and_update(self, n, dtype, left, right):
         # Every fitting call, with the rings filling and wrapping.

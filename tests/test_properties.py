@@ -1,6 +1,6 @@
-"""Seeded property tests of the Cayley maps, the stacked canonical
-spectrum, the inverse Laplacian, the Frobenius norm helper and the
-stacked system measurements.
+"""Seeded property tests of the Cayley maps, the complex stage defect,
+the stacked canonical spectrum, the inverse Laplacian, the Frobenius
+norm helper and the stacked system measurements.
 
 Hypothesis draws the sizes, scales and seeds; derandomize=True makes
 every run draw the same examples, so a failure reproduces exactly.
@@ -13,6 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from isork.integrator import _stage_sweep  # noqa: E402
 from isork.quadlie import (  # noqa: E402
     SplitMix64,
     _frobenius,
@@ -92,6 +93,23 @@ def test_dcay_after_dcay_inv_of_negated_is_adjoint(case):
     c = cayley(xi)
     got = dcay(xi, dcay_inv(-xi, eta))
     assert np.linalg.norm(got @ c - c @ eta) <= 1e-12 * (1.0 + np.linalg.norm(eta))
+
+
+@SEEDED
+@given(st.integers(2, 9), st.floats(-1.0, 1.0), st.integers(0, 2**32))
+def test_complex_stage_defect_assumes_no_algebra(N, a, seed):
+    # A complex stage's two-product sweep takes the stage equation's defect
+    # for any complex mu and mu_prev: mu is off su(N) (neither
+    # skew-Hermitian nor traceless), and B is Zeitlin's.
+    sys = ZeitlinSphere(N)
+    mu, mu_prev = _matrix(seed, N, True), _matrix(seed + 1, N, True)
+    assert sys.state_residual(mu) > 0.1 * np.linalg.norm(mu)
+    (_, b), gx, residual = _stage_sweep(mu_prev, a, sys.B)(mu)
+    eye = np.eye(N)
+    ref = (eye - a * b) @ mu @ (eye + a * b) - mu_prev
+    bound = 1e-13 * np.linalg.norm(ref)
+    assert np.linalg.norm((mu - gx) - ref) <= bound
+    assert abs(residual - np.linalg.norm(ref)) <= bound
 
 
 @st.composite
