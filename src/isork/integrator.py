@@ -9,8 +9,8 @@ substep size h_i the stage matrix mu_c solves
     (I - (h_i/2) B(mu_c)) mu_c (I + (h_i/2) B(mu_c)) = mu_prev
 
 by fixed-point iteration.  The stopping test is the norm of the stage
-defect, which has two arithmetics, picked once per stage by the dtype
-of mu_prev.  A real stage (rigid body, Toda) forms it in three
+defect, which has two arithmetics, one for a real stage and one for a
+complex stage.  A real stage (rigid body, Toda) forms it in three
 products, mu - a (B mu - mu B) - a^2 (B mu) B - mu_prev with a = h_i/2
 and B = B(mu), because the golden CSV pins those bits; a complex stage
 (Zeitlin's su(N)) in two, (mu - a B mu)(I + a B) - mu_prev, into
@@ -204,6 +204,8 @@ _FIT_PERIOD = 2
 _CHORD_MAX_N = 8
 _CHORD_GATE = (0.1, 0.9)
 _CHORD_CUT = 4.0
+# The dtypes a reduced stage steps in; `_reduced_stage` widens any other input.
+_STAGE_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
 class _AndersonMixer:
@@ -338,17 +340,17 @@ def _unit_images(b_map, n):
 def _stage_sweep(mu_prev, a, b_map):
     """The Picard sweep of a stage: mu -> ((mu, B(mu)), mu - defect, ||defect||_F).
 
-    The defect (I - a B) mu (I + a B) - mu_prev has two arithmetics,
-    picked here once per stage by the dtype of mu_prev.  A real stage
-    takes three products, mu - a (B mu - mu B) - a^2 (B mu) B - mu_prev,
-    the bits the golden CSV pins.  A complex stage takes two,
-    t + t ab - mu_prev with ab = a B and t = mu - ab mu, written with
-    out= into a (3, n, n) stack kept for the stage (the same bits as out
+    The defect (I - a B) mu (I + a B) - mu_prev has two arithmetics, one
+    for a real stage and one for a complex stage.  A real stage takes
+    three products, mu - a (B mu - mu B) - a^2 (B mu) B - mu_prev, the
+    bits the golden CSV pins.  A complex stage takes two, t + t ab - mu_prev
+    with ab = a B and t = mu - ab mu, written with out= into a (3, n, n)
+    stack of mu_prev's dtype made once for the stage (the same bits as out
     of place).  Neither assumes a structure of mu or B.
     """
     # ndarray.dot reaches the same BLAS gemm as @ (the same bits) at about half
     # its dispatch cost on small matrices; it is no batched matmul, so stacks keep @.
-    if np.isrealobj(mu_prev):
+    if mu_prev.dtype.kind != "c":
 
         def sweep(mu):
             b = b_map(mu)
@@ -357,17 +359,10 @@ def _stage_sweep(mu_prev, a, b_map):
             return (mu, b), mu - defect, _frobenius(defect)
 
         return sweep
-    work = None
+    ab, t, defect = np.empty((3,) + mu_prev.shape, mu_prev.dtype)
 
     def complex_sweep(mu):
-        nonlocal work
         b = b_map(mu)
-        # ndarray.dot writes only into its product's own dtype, and a mixer fit
-        # can widen the iterate (a complex64 mu_prev with a complex64 B).
-        dtype = np.result_type(mu, b)
-        if work is None or work[0].dtype != dtype:
-            work = tuple(np.empty((3,) + mu.shape, dtype))
-        ab, t, defect = work
         np.multiply(a, b, out=ab)
         ab.dot(mu, out=t)
         np.subtract(mu, t, out=t)
@@ -387,10 +382,12 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     within cfg.solver_tol * (1 + ||mu_prev||_F).  Each sweep's update
     is the Picard step mu - defect.
 
-    The dtype of mu_prev picks the defect's arithmetic once per stage
-    (`_stage_sweep`): three products for a real stage, whose bits the
-    golden CSV pins, and two for a complex one.  Nothing is projected
-    onto an algebra, so a B or a state that leaves it shows as drift.
+    A stage steps in float64 or complex128 whatever the width of its
+    input: mu_prev is widened once, here, and whether it is real or
+    complex then picks the defect's arithmetic (`_stage_sweep`): three
+    products for a real stage, whose bits the golden CSV pins, and two
+    for a complex one.  Nothing is projected onto an algebra, so a B or
+    a state that leaves it shows as drift.
 
     A real stage of size n <= _CHORD_MAX_N also gives `_fixed_point`
     the linearization for its chord phase: at the gating sweep's iterate
@@ -407,6 +404,8 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     (`_unit_images`), so J costs one n^2 x n^2 inverse per stage; a
     singular J gives None, and the stage mixes.
     """
+    if mu_prev.dtype not in _STAGE_DTYPES:
+        mu_prev = mu_prev.astype(np.result_type(mu_prev, np.float64))
     sweep = _stage_sweep(mu_prev, a, b_map)
 
     def linearize(result):
@@ -422,7 +421,7 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
             return None
 
     scale = cfg.solver_tol * (1.0 + _frobenius(mu_prev))
-    small = np.isrealobj(mu_prev) and len(mu_prev) <= _CHORD_MAX_N
+    small = mu_prev.dtype.kind != "c" and len(mu_prev) <= _CHORD_MAX_N
     return _fixed_point(sweep, mu_prev, scale, cfg.solver_max_iters, linearize if small else None)
 
 

@@ -426,6 +426,22 @@ class TestConvergenceStudy:
         midpoint = convergence_study(RigidBody(), [0.2, 0.1], 1.0)
         assert report.errors != midpoint.errors
 
+    @pytest.mark.parametrize("update_form", ["conjugation", "dcay"])
+    @pytest.mark.parametrize("variant", ["left", "right"])
+    @pytest.mark.parametrize("tableau, order", [("midpoint", 2), ("sdirk2", 2), ("yoshida4", 4), ("suzuki4", 4)])
+    @pytest.mark.parametrize(
+        "system, t_final, h_list",
+        [(TodaExtended(4), 1.0, [0.05, 0.025, 0.0125]), (ZeitlinSphere(N=9), 0.2, [0.02, 0.01, 0.005])],
+        ids=["toda4", "zeitlin9"],
+    )
+    def test_order_on_real_and_complex_stages(self, system, t_final, h_list, tableau, order, variant, update_form):
+        # Criterion 6's bands, on the systems the rigid body does not cover:
+        # real stages above n = 3 (chord steps) and complex su(N) stages.
+        # The Toda h list is fine enough for yoshida4's error to be asymptotic.
+        cfg = StepperConfig(variant=variant, update_form=update_form, tableau=builtin(tableau))
+        slope = convergence_study(system, h_list, t_final, cfg=cfg, seed=0).fitted_slope
+        assert abs(slope - order) < (0.1 if order == 2 else 0.2)
+
 
 class TestCsv:
     def _records(self, n=5):

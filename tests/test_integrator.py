@@ -104,6 +104,17 @@ class _ConstantFlow:
         return self.b0
 
 
+def _narrow_pair(dtype):
+    """A 4 x 4 state and a constant B of the single-precision dtype (B skew if real)."""
+    rng = np.random.default_rng(0)
+    if np.dtype(dtype).kind == "c":
+        b0, mu = (_operand(rng, 4, complex, "C") for _ in range(2))
+    else:
+        b0, mu = (_operand(rng, 4, float, "C") for _ in range(2))
+        b0 = b0 - b0.T
+    return mu.astype(dtype), b0.astype(dtype)
+
+
 def _cfg(**kw):
     return StepperConfig(**kw)
 
@@ -375,9 +386,10 @@ class TestSolveStage:
             assert np.array_equal(st.mu_stage, ref)
 
     def test_complex64_stage_widens_to_the_generator_dtype(self):
-        # A complex stage's work buffers take the dtype of the iterate and B
-        # combined, which the first sweep widens from a complex64 mu_prev to
-        # Zeitlin's complex128; the stage is still plain Picard bit for bit.
+        # A complex64 mu_prev is widened to complex128 once, at the stage's
+        # entry, and every sweep runs in complex128 from there; under
+        # Zeitlin's complex128 B that is plain Picard from the complex64
+        # state bit for bit.
         sys = ZeitlinSphere(N=9)
         mu = sys.initial_state(1).astype(np.complex64)
         ref, ref_iters = _picard_stage(mu, 0.005, sys, 1e-13)
@@ -386,14 +398,25 @@ class TestSolveStage:
         assert st.iters == ref_iters
         assert np.array_equal(st.mu_stage, ref)
 
-    def test_complex64_stage_follows_the_mixer_to_complex128(self):
-        # With a complex64 B the plain sweeps stay complex64; the mixer's
-        # first fit widens the iterate to complex128, and the buffers follow.
-        rng = np.random.default_rng(0)
-        b0, mu = (_operand(rng, 4, complex, "C").astype(np.complex64) for _ in range(2))
-        st = solve_stage(mu, 0.2, _ConstantFlow(b0), _cfg(solver_tol=1e-5))
-        assert st.iters > _PLAIN_SWEEPS + _FIT_PERIOD
-        assert st.mu_stage.dtype == np.complex128
+    @pytest.mark.parametrize("h", [0.2, 0.1, 0.01])
+    @pytest.mark.parametrize("narrow, wide", [(np.complex64, np.complex128), (np.float32, np.float64)])
+    def test_narrow_stage_steps_in_double_precision(self, narrow, wide, h):
+        # A state and a constant B of single width: single-precision sweeps
+        # stall at residuals of 1e-10 to 1e-7, far above the default
+        # tolerance, however small h.  The stage widens at its entry.
+        mu, b0 = _narrow_pair(narrow)
+        st = solve_stage(mu, h, _ConstantFlow(b0), _cfg())
+        assert st.mu_stage.dtype == wide
+        assert st.residual <= 1e-13 * (1.0 + np.linalg.norm(mu))
+
+    def test_complex64_yoshida4_step_converges(self):
+        # The first substep widens the complex64 state and the composition,
+        # negative substep included, steps on in complex128; unwidened,
+        # stage 0 stalls at residual 8e-8.
+        mu, b0 = _narrow_pair(np.complex64)
+        mu_next, stages = isospectral_sdirk_step(mu, _ConstantFlow(b0), _cfg(tableau=builtin("yoshida4")), 0.2)
+        assert mu_next.dtype == np.complex128
+        assert len(stages) == 3
 
     def test_failed_mixing_step_is_the_plain_update(self, monkeypatch):
         # A singular fit (repeated rows) and an overflowing one (a huge
