@@ -196,9 +196,11 @@ _MIXING_DEPTH = 8
 # the plain update G(x) in between (periodic Pulay mixing).
 _FIT_PERIOD = 2
 # A real stage of size n <= _CHORD_MAX_N takes chord steps when its last
-# plain sweep left a share in _CHORD_GATE = (low, high] of the residual
-# before it: contracting, but too slowly to finish plain.  Each chord step
-# must cut the residual at least _CHORD_CUT-fold (see `_fixed_point`).
+# two plain sweeps left a share in (low^2, high^2] of the residual before
+# them, _CHORD_GATE = (low, high): contracting, but too slowly to finish
+# plain.  Two sweeps, because plain sweeps may oscillate, one cutting the
+# residual well and the next hardly at all.  Each chord step must cut the
+# residual at least _CHORD_CUT-fold (see `_fixed_point`).
 # Above n = 8 the n^2 x n^2 inverse costs Toda midpoint more than its
 # chord steps save (README's table).
 _CHORD_MAX_N = 8
@@ -264,9 +266,11 @@ def _fixed_point(sweep, x0, scale, max_iters, linearize=None):
     sweeps.  The first _PLAIN_SWEEPS sweeps take the plain update
     x <- G(x).
 
-    Chord phase: if linearize is given and the last plain sweep left a
-    share of the residual in _CHORD_GATE, linearize(result) returns J^-1,
-    the inverse of the Jacobian of x - G(x) at that sweep's iterate (or
+    Chord phase: if linearize is given and the last two plain sweeps
+    left a share of the residual in (low^2, high^2], _CHORD_GATE being
+    (low, high), that is, if the geometric mean of their contraction
+    ratios lies in _CHORD_GATE, linearize(result) returns J^-1, the
+    inverse of the Jacobian of x - G(x) at that sweep's iterate (or
     None), and every further sweep steps x <- x - J^-1 vec(x - G(x)),
     vec being row-major.  A chord step stands while it cuts the residual
     at least _CHORD_CUT-fold; the first that does not (a non-finite
@@ -280,14 +284,14 @@ def _fixed_point(sweep, x0, scale, max_iters, linearize=None):
     runs exactly the plain iteration.
     """
     x = x0
-    residual = np.inf
+    previous = residual = np.inf
     mix = jinv = None
     low, high = _CHORD_GATE
     # Divergence is detected and raised below; silence the transient
     # overflow warnings it produces on the way.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_iters):
-            previous = residual
+            before, previous = previous, residual
             result, gx, residual = sweep(x)
             if residual <= scale:
                 return result, k + 1, residual
@@ -295,7 +299,7 @@ def _fixed_point(sweep, x0, scale, max_iters, linearize=None):
                 jinv, (x, gx) = None, kept
             elif not math.isfinite(residual):
                 raise NonConvergenceError(k + 1, residual)
-            if k + 1 == _PLAIN_SWEEPS and linearize is not None and low * previous < residual <= high * previous:
+            if k + 1 == _PLAIN_SWEEPS and linearize is not None and low * low * before < residual <= high * high * before:
                 jinv = linearize(result)
             if jinv is not None:
                 kept = x, gx
@@ -383,11 +387,14 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     is the Picard step mu - defect.
 
     A stage steps in float64 or complex128 whatever the width of its
-    input: mu_prev is widened once, here, and whether it is real or
-    complex then picks the defect's arithmetic (`_stage_sweep`): three
-    products for a real stage, whose bits the golden CSV pins, and two
-    for a complex one.  Nothing is projected onto an algebra, so a B or
-    a state that leaves it shows as drift.
+    input: mu_prev is widened once, here, to np.result_type(mu_prev,
+    float64).  A dtype that this maps to neither (longdouble,
+    clongdouble, object) raises ValueError naming it, before any solve.
+    Whether mu_prev is real or complex then picks the defect's
+    arithmetic (`_stage_sweep`): three products for a real stage, whose
+    bits the golden CSV pins, and two for a complex one.  Nothing is
+    projected onto an algebra, so a B or a state that leaves it shows as
+    drift.
 
     A real stage of size n <= _CHORD_MAX_N also gives `_fixed_point`
     the linearization for its chord phase: at the gating sweep's iterate
@@ -405,7 +412,10 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     singular J gives None, and the stage mixes.
     """
     if mu_prev.dtype not in _STAGE_DTYPES:
-        mu_prev = mu_prev.astype(np.result_type(mu_prev, np.float64))
+        wide = np.result_type(mu_prev, np.float64)
+        if wide not in _STAGE_DTYPES:
+            raise ValueError(f"a {mu_prev.dtype} state widens to neither float64 nor complex128, the dtypes a stage steps in")
+        mu_prev = mu_prev.astype(wide)
     sweep = _stage_sweep(mu_prev, a, b_map)
 
     def linearize(result):

@@ -422,7 +422,7 @@ class TestExitCodes:
         assert "numerical error at step 0: Singular matrix" in capsys.readouterr().err
 
     def test_compare_names_the_failing_method(self, tmp_path, capsys, monkeypatch):
-        # classical-rk4 finishes, midpoint's Toda stage diverges at step 1
+        # classical-rk4 finishes, midpoint's Toda stage diverges at step 3
         # at h = 0.3, and gawlik never runs; no CSV is written before all finish,
         # but the finished method's table rows are printed, without a wrote line.
         monkeypatch.chdir(tmp_path)
@@ -436,8 +436,8 @@ class TestExitCodes:
             "first non-finite step (classical-rk4): 4\n"
         )
         assert err == (
-            "solver error: stage solve did not converge at step 1 stage 0: "
-            "residual inf after 146 iterations (for method midpoint)\n"
+            "solver error: stage solve did not converge at step 3 stage 0: "
+            "residual inf after 14 iterations (for method midpoint)\n"
         )
         assert not list(tmp_path.iterdir())
 

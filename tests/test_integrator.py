@@ -409,6 +409,25 @@ class TestSolveStage:
         assert st.mu_stage.dtype == wide
         assert st.residual <= 1e-13 * (1.0 + np.linalg.norm(mu))
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).bits == 64, reason="longdouble is float64 here")
+    @pytest.mark.parametrize(
+        "sys, dtype",
+        [(RigidBody((1.0, 2.0, 3.0)), np.longdouble), (ZeitlinSphere(N=5), np.clongdouble)],
+        ids=["longdouble", "clongdouble"],
+    )
+    @pytest.mark.parametrize("step", ["solve_stage", "gawlik_step"])
+    def test_wider_than_double_is_a_value_error(self, sys, dtype, step, monkeypatch):
+        # No stage steps wider than float64 or complex128: a wider state is
+        # refused by name before any solve, not failed inside linalg.
+        solves = _spy_on(monkeypatch, np.linalg, "solve")
+        mu = sys.initial_state(0).astype(dtype)
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            if step == "solve_stage":
+                solve_stage(mu, 0.1, sys, _cfg())
+            else:
+                gawlik_step(mu, 0.1, sys, _cfg())
+        assert solves == []
+
     def test_complex64_yoshida4_step_converges(self):
         # The first substep widens the complex64 state and the composition,
         # negative substep included, steps on in complex128; unwidened,
@@ -555,6 +574,21 @@ class TestChordPhase:
             mu = st.mu_half
         assert len(inverses) == chords
 
+    def test_gate_reads_two_sweeps_of_contraction(self, monkeypatch):
+        # Step 1, stage 0 of yoshida4 at h = 0.1 oscillates: its sixth sweep
+        # leaves 0.906 of the fifth's residual, above the gate, but 0.410 of
+        # the fourth's, a mean ratio of 0.64 per sweep.  Gated on the last
+        # sweep alone it mixes for 17 sweeps; gated on the last two it takes
+        # chord steps from one Jacobian.
+        sys = TodaExtended(4)
+        cfg = _cfg(tableau=builtin("yoshida4"))
+        mu, _ = isospectral_sdirk_step(sys.initial_state(0), sys, cfg, 0.1)
+        inverses = _spy_on(monkeypatch, np.linalg, "inv")
+        built = _spy_on(monkeypatch, _AndersonMixer, "__init__")
+        st = solve_stage(mu, 0.1 * cfg.tableau.b[0], sys, cfg)
+        assert len(inverses) == 1 and built == []
+        assert st.iters < 17
+
     def test_nonlinear_B_converges_through_the_fallback(self, monkeypatch):
         # The Jacobian built from B(E_k) misses the quadratic term, so a
         # chord step soon cuts the defect less than fourfold; the solve
@@ -650,8 +684,9 @@ class TestChordPhase:
     )
     def test_converges_where_other_chord_variants_failed(self, sys, mu0, tableau, h, n_steps):
         # The mixing-only solver converges these runs, and variants of the
-        # chord phase fail some of them: without the contraction gate,
-        # suzuki4 at h = 0.4 and the scale-4 rigid body; with chord steps
+        # chord phase fail some of them: without the gate's upper bound,
+        # suzuki4 at h = 0.4 (step 14) and the scale-4 rigid body (step 43),
+        # which the two-sweep gate still keeps mixing; with chord steps
         # started at the first fitting sweep, or without going back one
         # iterate on a step that does not pay, suzuki4 at h = 0.4.  The
         # conjugation update keeps the spectrum.
@@ -659,6 +694,19 @@ class TestChordPhase:
         assert len(traj) == n_steps + 1
         spec0 = spectrum(mu0)
         assert np.max(np.abs(spectrum(traj[-1][0]) - spec0)) < 1e-13 * (1.0 + np.max(np.abs(spec0)))
+
+    @pytest.mark.parametrize("tableau, h", [("yoshida4", 0.1), ("midpoint", 0.2), ("suzuki4", 0.4)])
+    def test_chord_steps_find_the_mixed_solution(self, tableau, h, monkeypatch):
+        # The stage equation is quadratic in mu and has far solutions too.
+        # Whatever stages the gate admits, 20 steps with chord steps end
+        # where the same run ends with the chord phase switched off.
+        sys = TodaExtended(4)
+        cfg = _cfg(tableau=builtin(tableau))
+        mu0 = sys.initial_state(0)
+        chord = run_trajectory(mu0, sys, cfg, h, 20)[-1][0]
+        monkeypatch.setattr("isork.integrator._CHORD_MAX_N", 0)
+        mixed = run_trajectory(mu0, sys, cfg, h, 20)[-1][0]
+        assert np.linalg.norm(chord - mixed) <= 1e-10 * np.linalg.norm(mixed)
 
 
 @dataclass
