@@ -36,6 +36,7 @@ from .integrator import (
     StepperConfig,
     _drive,
     _located,
+    _widened,
     classical_rk4_step,
     gawlik_step,
     isospectral_sdirk_step,
@@ -145,7 +146,9 @@ def run_recorded(
 
     method selects the production stepper or one of the baselines ("gawlik",
     "rk4"); the baselines ignore cfg.tableau and advance with the bare step
-    h.  n_steps and record_every are integers of at least 1.  Records the
+    h.  n_steps and record_every are integers of at least 1.  mu0 is
+    widened to the dtype a stage steps in (float64 or complex128) for every
+    method; a wider dtype raises ValueError naming it.  Records the
     initial point, every record_every-th step, and always the final step.
     Recorded states wait with their summed sweep counts, not stage lists, in
     a buffer flushed at 64 states or 2 MiB, whichever comes first (8 at N = 128).
@@ -153,6 +156,7 @@ def run_recorded(
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     _count(record_every, 1, "record_every")
+    mu0 = _widened(mu0)
     # The steppers are looked up at call time, so a name swapped on this
     # module (as the benchmark's tracer does) takes effect.
     if method == "isospectral":

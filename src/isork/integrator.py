@@ -29,12 +29,14 @@ right-invariant variant swaps the signs of both halves, which is the
 same arithmetic as stepping with -h_i.
 
 The conjugation takes two solves, except when the system's context is
-unitary (J = I with a complex J, as for su(N)): there cay(xi)^{-1} is
-cay(xi)^dagger, so it is C mu_prev C^dagger with C = cay(h_i B(mu_c)),
-one solve and two products.  xi is not projected onto the algebra, so
-a B that leaves it shows as spectral drift, and so does the stage's
-own roundoff off the algebra, which builds up over long runs.  A
-system without a context, and every other context, keeps two solves.
+unitary (J = I with a complex J, as for su(N)).  There the converged
+complex stage hands (I - X) mu_c and its defect, X = (h_i/2) B(mu_c), to
+the update, which forms the similarity without a solve up to a
+remainder below roundoff; where one of two gates turns that away, it is
+C mu_prev C^dagger with C = cay(h_i B(mu_c)), one solve and two products
+(`quadlie.cayley_conjugate`).  xi is not projected onto the algebra, so
+a B that leaves it shows as spectral drift.  A system without a
+context, and every other context, keeps two solves.
 
 Three loops serve every stepper.  `_fixed_point` is the sweep loop of
 every implicit solve (the reduced stage, the Cayley half-step stage
@@ -206,7 +208,7 @@ _FIT_PERIOD = 2
 _CHORD_MAX_N = 8
 _CHORD_GATE = (0.1, 0.9)
 _CHORD_CUT = 4.0
-# The dtypes a reduced stage steps in; `_reduced_stage` widens any other input.
+# The dtypes a stage steps in; `_widened` widens any other input.
 _STAGE_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
@@ -342,7 +344,7 @@ def _unit_images(b_map, n):
 
 
 def _stage_sweep(mu_prev, a, b_map):
-    """The Picard sweep of a stage: mu -> ((mu, B(mu)), mu - defect, ||defect||_F).
+    """The Picard sweep of a stage: mu -> ((mu, B(mu), ...), mu - defect, ||defect||_F).
 
     The defect (I - a B) mu (I + a B) - mu_prev has two arithmetics, one
     for a real stage and one for a complex stage.  A real stage takes
@@ -350,7 +352,9 @@ def _stage_sweep(mu_prev, a, b_map):
     bits the golden CSV pins.  A complex stage takes two, t + t ab - mu_prev
     with ab = a B and t = mu - ab mu, written with out= into a (3, n, n)
     stack of mu_prev's dtype made once for the stage (the same bits as out
-    of place).  Neither assumes a structure of mu or B.
+    of place), and its result also holds t and the defect, the buffers of
+    the last sweep, for the solve-free unitary update (`solve_stage`).
+    Neither assumes a structure of mu or B.
     """
     # ndarray.dot reaches the same BLAS gemm as @ (the same bits) at about half
     # its dispatch cost on small matrices; it is no batched matmul, so stacks keep @.
@@ -373,23 +377,38 @@ def _stage_sweep(mu_prev, a, b_map):
         t.dot(ab, out=defect)
         np.add(t, defect, out=defect)
         np.subtract(defect, mu_prev, out=defect)
-        return (mu, b), mu - defect, _frobenius(defect)
+        return (mu, b, t, defect), mu - defect, _frobenius(defect)
 
     return complex_sweep
+
+
+def _widened(mu):
+    """mu in the dtype a stage steps in, np.result_type(mu, float64).
+
+    That must be float64 or complex128: a narrower or integer state is
+    widened (a copy), a float64 or complex128 one comes back as it is, and
+    a dtype that widens to neither (longdouble, clongdouble, object)
+    raises ValueError naming it.
+    """
+    if mu.dtype in _STAGE_DTYPES:
+        return mu
+    wide = np.result_type(mu, np.float64)
+    if wide not in _STAGE_DTYPES:
+        raise ValueError(f"a {mu.dtype} state widens to neither float64 nor complex128, the dtypes a stage steps in")
+    return mu.astype(wide)
 
 
 def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     """Solve mu = mu_prev + a [B(mu), mu] + a^2 B(mu) mu B(mu) from mu_prev.
 
-    Returns ((mu, B(mu)), iters, residual), the residual being the
+    Returns ((mu, B(mu), ...), iters, residual), the residual being the
     stage-equation defect ||(I - a B) mu (I + a B) - mu_prev||_F of mu,
-    within cfg.solver_tol * (1 + ||mu_prev||_F).  Each sweep's update
-    is the Picard step mu - defect.
+    within cfg.solver_tol * (1 + ||mu_prev||_F); a complex stage's tuple
+    also holds (I - a B) mu and the defect.  Each sweep's update is the
+    Picard step mu - defect.
 
     A stage steps in float64 or complex128 whatever the width of its
-    input: mu_prev is widened once, here, to np.result_type(mu_prev,
-    float64).  A dtype that this maps to neither (longdouble,
-    clongdouble, object) raises ValueError naming it, before any solve.
+    input: mu_prev is widened once, here (`_widened`), before any solve.
     Whether mu_prev is real or complex then picks the defect's
     arithmetic (`_stage_sweep`): three products for a real stage, whose
     bits the golden CSV pins, and two for a complex one.  Nothing is
@@ -411,11 +430,7 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     (`_unit_images`), so J costs one n^2 x n^2 inverse per stage; a
     singular J gives None, and the stage mixes.
     """
-    if mu_prev.dtype not in _STAGE_DTYPES:
-        wide = np.result_type(mu_prev, np.float64)
-        if wide not in _STAGE_DTYPES:
-            raise ValueError(f"a {mu_prev.dtype} state widens to neither float64 nor complex128, the dtypes a stage steps in")
-        mu_prev = mu_prev.astype(wide)
+    mu_prev = _widened(mu_prev)
     sweep = _stage_sweep(mu_prev, a, b_map)
 
     def linearize(result):
@@ -440,15 +455,18 @@ def solve_stage(mu_prev, h_i: float, system, cfg: StepperConfig) -> StageState:
 
     Returns the converged stage matrix together with the next half
     point under cfg.update_form; raises NonConvergenceError when
-    cfg.solver_max_iters sweeps do not reach tolerance.
+    cfg.solver_max_iters sweeps do not reach tolerance.  A complex stage
+    in a unitary context hands its last sweep's (I - a B) mu_c and
+    defect to the conjugation update, which then needs no solve.
     """
     sign = _VARIANT_SIGNS[cfg.variant]
-    (mu_c, b), iters, residual = _reduced_stage(mu_prev, sign * h_i / 2.0, system.B, cfg)
+    (mu_c, b, *kept), iters, residual = _reduced_stage(mu_prev, sign * h_i / 2.0, system.B, cfg)
     xi = (sign * h_i) * b
     if cfg.update_form == "conjugation":
         # Resolved by name at each call: the benchmark's tracer swaps this name.
         unitary = getattr(getattr(system, "context", None), "unitary", False)
-        mu_half = cayley_conjugate(xi, mu_prev, unitary=unitary)
+        stage = (mu_c, *kept) if unitary and kept else None
+        mu_half = cayley_conjugate(xi, mu_prev, unitary=unitary, stage=stage)
     else:
         mu_half = dcay_inv(-xi, mu_c)
     return StageState(mu_half=mu_half, mu_stage=mu_c, iters=iters, residual=residual)
@@ -537,9 +555,9 @@ class CotangentStage:
 
 
 def cotangent_lift(mu0) -> CotangentState:
-    """Lift a reduced state to the bundle: g = I, p = mu0."""
-    n = mu0.shape[0]
-    return CotangentState(np.eye(n, dtype=np.result_type(mu0.dtype, np.float64)), mu0)
+    """Lift a reduced state to the bundle: g = I, p = mu0 in the dtype a stage steps in (`_widened`)."""
+    mu0 = _widened(mu0)
+    return CotangentState(np.eye(len(mu0), dtype=mu0.dtype), mu0)
 
 
 def momentum_map(state: CotangentState):
@@ -615,7 +633,7 @@ def gawlik_step(mu_tilde, h: float, system, cfg: StepperConfig = StepperConfig()
     # _fixed_point raises on the non-finite residual, so silence the warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = dcay_inv(-h * system.B(mu_tilde), mu_tilde)
-        (mu, _), iters, residual = _reduced_stage(rhs, h / 2.0, system.B, cfg)
+        (mu, *_), iters, residual = _reduced_stage(rhs, h / 2.0, system.B, cfg)
     return mu, [StageState(mu_half=mu, mu_stage=mu, iters=iters, residual=residual)]
 
 

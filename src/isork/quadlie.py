@@ -12,10 +12,12 @@ maps the algebra into the group exactly (no series truncation, one
 linear solve per application).  The isospectral update conjugates by
 it, cay(xi) x cay(xi)^{-1}: two solves, or in a unitary context one
 solve and two products, C x C^dagger with C = cay(xi), since
-cay(xi)^{-1} = cay(xi)^dagger for skew-Hermitian xi.  xi is not
-projected onto the algebra, so a Hermitian part shows as spectral
-drift.  Its right-trivialized differential and the inverse of that
-differential are
+cay(xi)^{-1} = cay(xi)^dagger for skew-Hermitian xi.  Given the
+converged stage that produced xi, a unitary update takes no solve: the
+stage's dcay product minus its defect carried through cay(xi) to first
+order, two products (`cayley_conjugate`).  xi is not projected onto the
+algebra, so a Hermitian part shows as spectral drift.  Its
+right-trivialized differential and the inverse of that differential are
 
     dcay_xi(eta)     = (I - xi/2)^{-1} eta (I + xi/2)^{-1}
     dcay_inv_xi(eta) = (I - xi/2) eta (I + xi/2)
@@ -246,7 +248,48 @@ def dcay_inv(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return lo.dot(eta).dot(hi)
 
 
-def cayley_conjugate(xi: np.ndarray, x: np.ndarray, unitary: bool = False) -> np.ndarray:
+# The gates of the stage form of the unitary update (`_stage_form`).
+# Gate 1: a Hermitian part X + X^dagger of X = xi/2 above this share of
+# ||X||_F is a B off the algebra (clean su(N) stages read 1e-15 or less,
+# the leaking Bs of the tests about 1e-6).
+_SKEW_SHARE = 1e-12
+# Gate 2: for ||X||_F <= _STAGE_X the terms of cay(xi) d cay(xi)^{-1} past
+# d + 2 (X d - d X) are at most _STAGE_C ||X||_F^2 ||d||_F, and that bound
+# must be at most machine epsilon times ||x||_F.
+_STAGE_X = 0.1
+_STAGE_C = 10.0
+_EPS = float(np.finfo(float).eps)
+
+
+def _stage_form(half, x, mu_c, t, d):
+    """(I + X) mu_c (I - X) - d - 2 (X d - d X) with X = half, or None where a gate fails.
+
+    The stage equation (I - X) mu_c (I + X) = x + d and the commuting
+    factors I - X and I + X make cay(xi) x cay(xi)^{-1} exactly
+    (I + X) mu_c (I - X) - cay(xi) d cay(xi)^{-1}.  With r = ||X||_2
+    (at most ||X||_F), cay(xi) = I + 2X + E and cay(xi)^{-1} = I - 2X + F,
+    where E = 2 X^2 (I - X)^{-1} and F = 2 X^2 (I + X)^{-1} have 2-norms
+    of at most 2 r^2 / (1 - r), and ||cay(xi)^{-1}||_2 <= (1 + r) / (1 - r).
+    The last term is then d + 2 (X d - d X) plus a remainder
+    R = -4 X d X + E d cay(xi)^{-1} + (I + 2X) d F, and for r <= 0.1
+
+        ||R||_F / (r^2 ||d||_F) <= 4 + 2 (1 + r) / (1 - r)^2 + 2 (1 + 2r) / (1 - r) <= 9.4,
+
+    so c = _STAGE_C = 10 bounds it.  With t = (I - X) mu_c, (I + X) mu_c
+    is 2 mu_c - t, and the whole form takes two products:
+    (s - d) - 2 X d - (s - 2d) X with s = 2 mu_c - t.
+    """
+    nx = _frobenius(half)
+    # Written as not (bound <= limit), so a NaN fails the gate too.
+    if not (nx <= _STAGE_X and _STAGE_C * nx * nx * _frobenius(d) <= _EPS * _frobenius(x)):
+        return None
+    if not _frobenius(half + half.conj().T) <= _SKEW_SHARE * nx:
+        return None
+    s = 2.0 * mu_c - t
+    return (s - d) - 2.0 * half.dot(d) - (s - 2.0 * d).dot(half)
+
+
+def cayley_conjugate(xi: np.ndarray, x: np.ndarray, unitary: bool = False, stage=None) -> np.ndarray:
     """cay(xi) x cay(xi)^{-1} without forming either inverse.
 
     Two solves, using the exact commutation of (I - xi/2) and
@@ -256,8 +299,21 @@ def cayley_conjugate(xi: np.ndarray, x: np.ndarray, unitary: bool = False) -> np
     C = cay(xi) = cay(xi)^{-dagger}.  xi is not projected: a Hermitian
     part makes that a congruence, not a similarity, and it shows as
     spectral drift rather than being hidden.
+
+    stage=(mu_c, t, d), read only with unitary=True, is a converged
+    stage whose equation (I - X) mu_c (I + X) = x + d has X = xi/2,
+    t = (I - X) mu_c and defect d.  The update is then solve-free,
+    (I + X) mu_c (I - X) - d - 2 (X d - d X): the similarity by cay(xi)
+    up to a remainder of at most 10 ||X||_F^2 ||d||_F (`_stage_form`).
+    C x C^dagger stays where either of two gates fails: X has a
+    Hermitian part above 1e-12 ||X||_F (a B off the algebra, left to
+    show as drift), or ||X||_F > 0.1 or that remainder bound exceeds
+    machine epsilon times ||x||_F (a large step or a loose tolerance).
     """
     if unitary:
+        y = None if stage is None else _stage_form(0.5 * xi, x, *stage)
+        if y is not None:
+            return y
         c = cayley(xi)
         return c.dot(x).dot(c.conj().T)
     lo, hi = _half_factors(xi)

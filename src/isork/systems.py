@@ -431,10 +431,12 @@ class ZeitlinSphere(IsospectralSystem):
     part (the real part is identically zero), while even orders record
     the real part; see `casimirs`.
 
-    The context is su(N), a unitary one, so each conjugation update is
-    C mu C^dagger with C = cay(h_i B(mu_c)): one solve, not two.  B is
-    not projected onto su(N) there, so a B with a Hermitian part shows
-    as spectral drift.
+    The context is su(N), a unitary one, so each conjugation update
+    takes no solve: the stage's dcay product minus its defect carried
+    through cay(h_i B(mu_c)), or C mu C^dagger with C = cay(h_i B(mu_c)),
+    one solve, where a gate turns that away (`quadlie.cayley_conjugate`).
+    B is not projected onto su(N), so a B with a Hermitian part takes
+    the one-solve update and shows as spectral drift.
     """
 
     name = "zeitlin"

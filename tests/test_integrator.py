@@ -428,6 +428,21 @@ class TestSolveStage:
                 gawlik_step(mu, 0.1, sys, _cfg())
         assert solves == []
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).bits == 64, reason="longdouble is float64 here")
+    @pytest.mark.parametrize(
+        "sys, run",
+        [
+            (TodaExtended(4), lambda sys, mu: cotangent_sdirk_step(cotangent_lift(mu), sys, _cfg(), 0.1)),
+            (RigidBody((1.0, 2.0, 3.0)), lambda sys, mu: run_recorded(sys, mu, _cfg(), 0.1, 3, method="rk4")),
+        ],
+        ids=["cotangent-toda", "recorded-rk4-rigidbody"],
+    )
+    def test_wider_than_double_is_a_value_error_on_every_path(self, sys, run):
+        # The same rule where the cotangent stepper's mixer and RK4's
+        # recorded eigvals would otherwise fail inside linalg.
+        with pytest.raises(ValueError, match=np.dtype(np.longdouble).name):
+            run(sys, sys.initial_state(0).astype(np.longdouble))
+
     def test_complex64_yoshida4_step_converges(self):
         # The first substep widens the complex64 state and the composition,
         # negative substep included, steps on in complex128; unwidened,
@@ -1320,8 +1335,8 @@ def _spy_on_updates(monkeypatch):
 
     calls = []
 
-    def spy(xi, x, unitary=False):
-        calls.append((xi, x, unitary, cayley_conjugate(xi, x, unitary=unitary)))
+    def spy(xi, x, unitary=False, stage=None):
+        calls.append((xi, x, unitary, cayley_conjugate(xi, x, unitary=unitary, stage=stage)))
         return calls[-1][-1]
 
     monkeypatch.setattr(integrator, "cayley_conjugate", spy)
@@ -1353,8 +1368,10 @@ class _LeakyZeitlin(ZeitlinSphere):
 
 
 class TestUnitaryUpdate:
-    # A unitary context (J = I, complex) updates with one solve, C mu C^dagger;
-    # every other stage keeps the two-solve update bit for bit.
+    # A unitary context (J = I, complex) updates a converged stage without a
+    # solve, from its dcay product and defect, and with one solve,
+    # C mu C^dagger, where a gate turns that away; every other stage keeps
+    # the two-solve update bit for bit.
 
     @pytest.mark.parametrize("variant", ["left", "right"])
     @pytest.mark.parametrize("N", [5, 9, 17, 33])
@@ -1408,6 +1425,53 @@ class TestUnitaryUpdate:
         calls = _spy_on_updates(monkeypatch)
         _, stages = isospectral_sdirk_step(sys.initial_state(2), sys, _cfg(tableau=builtin(tableau)), h)
         assert len(calls) == len(stages) == len(builtin(tableau).b)
+
+    @pytest.mark.parametrize("tableau, variant", [("midpoint", "left"), ("yoshida4", "right")])
+    def test_clean_zeitlin_stages_take_no_solve(self, tableau, variant, monkeypatch):
+        # The zeitlin-n33 benchmark configuration, and yoshida4's negative
+        # substep in the right variant: every stage passes both gates.
+        import isork.quadlie as quadlie
+
+        calls = _spy_on_updates(monkeypatch)
+        solves = _spy_on(monkeypatch, quadlie, "cayley")
+        sys = ZeitlinSphere(33)
+        cfg = _cfg(variant=variant, tableau=builtin(tableau))
+        traj = run_trajectory(sys.initial_state(0), sys, cfg, 0.0025, 20)
+        assert len(calls) == sum(len(stages) for _, stages in traj) == 20 * len(builtin(tableau).b)
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "make, h, tol",
+        [
+            (lambda: _LeakyZeitlin(9, 1e-6 * np.eye(9)), 0.0025, 1e-13),
+            (lambda: ZeitlinSphere(33), 0.05, 1e-13),
+            (lambda: ZeitlinSphere(33), 0.0025, 1e-8),
+        ],
+        ids=["leaky-B", "large-h", "loose-tol"],
+    )
+    def test_gated_stages_take_one_solve(self, make, h, tol, monkeypatch):
+        # Gate 1 turns away a B off su(N), whose congruence keeps the leak
+        # visible; gate 2 a step or a tolerance whose dropped remainder could
+        # exceed roundoff.  Each such stage is C mu C^dagger, bit for bit.
+        import isork.quadlie as quadlie
+
+        calls = _spy_on_updates(monkeypatch)
+        solves = _spy_on(monkeypatch, quadlie, "cayley")
+        sys = make()
+        traj = run_trajectory(sys.initial_state(0), sys, _cfg(solver_tol=tol), h, 10)
+        assert len(calls) == len(solves) == sum(len(stages) for _, stages in traj) == 10
+        for xi, x, unitary, got in calls:
+            assert unitary
+            assert np.array_equal(got, cayley_conjugate(xi, x, unitary=True))
+
+    def test_long_run_spectral_drift_stays_at_roundoff(self):
+        # N = 17, h = 0.0025, 20,000 steps: C mu C^dagger at every stage read
+        # 7.2e-14 (a congruence, so the stages' roundoff off su(N) builds up),
+        # the solve-free update 9.1e-15, two solves at every stage 5.6e-15.
+        sys = ZeitlinSphere(17)
+        records = run_recorded(sys, sys.initial_state(42), _cfg(), 0.0025, 20000, record_every=100)
+        assert len(records) == 201
+        assert max(r.spectral_drift for r in records) <= 2e-14
 
 
 def test_one_sweep_loop_call_per_stage(monkeypatch):
@@ -1492,7 +1556,7 @@ class TestProductsMatchMatmul:
             ref = t + t @ ab - mu_prev
         sweep = _stage_sweep(mu_prev, a, lambda m: b)
         for _ in range(2):
-            (got_mu, got_b), gx, residual = sweep(mu)
+            (got_mu, got_b, *_), gx, residual = sweep(mu)
             assert got_mu is mu and got_b is b
             assert np.array_equal(gx, mu - ref)
             assert residual == _frobenius(ref)

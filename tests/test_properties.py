@@ -104,7 +104,7 @@ def test_complex_stage_defect_assumes_no_algebra(N, a, seed):
     sys = ZeitlinSphere(N)
     mu, mu_prev = _matrix(seed, N, True), _matrix(seed + 1, N, True)
     assert sys.state_residual(mu) > 0.1 * np.linalg.norm(mu)
-    (_, b), gx, residual = _stage_sweep(mu_prev, a, sys.B)(mu)
+    (_, b, *_), gx, residual = _stage_sweep(mu_prev, a, sys.B)(mu)
     eye = np.eye(N)
     ref = (eye - a * b) @ mu @ (eye + a * b) - mu_prev
     bound = 1e-13 * np.linalg.norm(ref)

@@ -224,6 +224,74 @@ class TestUnitaryContext:
         assert np.abs(spectrum(cayley_conjugate(xi, x)) - spectrum(x)).max() < 1e-14
 
 
+def _converged_stage(n, seed, half_norm, defect_norm):
+    """xi, x and stage=(mu_c, t, d) of a stage (I - X) mu_c (I + X) = x + d, X = xi/2 in su(n).
+
+    ||X||_F and ||d||_F are as given, ||mu_c||_F = 1; d is a random complex matrix, in no algebra.
+    """
+    ctx = special_unitary_structure(n)
+    xi = random_algebra_element(ctx, seed)
+    xi *= 2.0 * half_norm / _frobenius(xi)
+    mu_c = random_algebra_element(ctx, seed + 1)
+    mu_c /= _frobenius(mu_c)
+    d = SplitMix64(seed + 2).uniform((n, n)) + 1j * SplitMix64(seed + 3).uniform((n, n))
+    d *= defect_norm / _frobenius(d)
+    eye = np.eye(n)
+    t = (eye - xi / 2.0) @ mu_c
+    return xi, t @ (eye + xi / 2.0) - d, (mu_c, t, d)
+
+
+class TestStageForm:
+    # With a converged stage, the unitary update is (I + X) mu_c (I - X)
+    # - d - 2 (X d - d X), no solve; C x C^dagger where a gate fails.
+
+    @pytest.mark.parametrize("n", [6, 33])
+    def test_solve_free_matches_two_solves(self, n, monkeypatch):
+        import isork.quadlie as quadlie
+
+        solves = []
+        monkeypatch.setattr(quadlie, "cayley", lambda xi: solves.append(xi))
+        for seed in range(10):
+            xi, x, stage = _converged_stage(n, seed, 1e-5, 1e-8)
+            two = cayley_conjugate(xi, x)
+            bound = 1e-14 * np.linalg.norm(two)
+            assert np.linalg.norm(cayley_conjugate(xi, x, unitary=True, stage=stage) - two) <= bound
+            # The commutator term is larger than the check, so it cannot be dropped.
+            d = stage[2]
+            assert 2.0 * np.linalg.norm(commutator(xi / 2.0, d)) > 2.0 * bound
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "leak, half_norm, defect_norm",
+        [(1e-9, 1e-3, 1e-14), (0.0, 0.05, 1e-12), (0.0, 0.2, 0.0)],
+        ids=["hermitian-part", "remainder-above-roundoff", "X-above-0.1"],
+    )
+    def test_a_failed_gate_takes_one_solve(self, leak, half_norm, defect_norm):
+        # Gate 1: a Hermitian part of X above 1e-12 ||X||_F.  Gate 2:
+        # ||X||_F > 0.1, or 10 ||X||_F^2 ||d||_F above eps ||x||_F.
+        xi, x, stage = _converged_stage(5, 7, half_norm, defect_norm)
+        xi = xi + leak * np.eye(5)
+        one = cayley_conjugate(xi, x, unitary=True)
+        assert np.array_equal(cayley_conjugate(xi, x, unitary=True, stage=stage), one)
+
+    def test_remainder_is_within_the_stated_bound(self):
+        # Gate 2's constant: for ||X||_F <= 0.1, cay(xi) d cay(xi)^{-1}
+        # - d - 2 (X d - d X) is at most 10 ||X||_F^2 ||d||_F, X skew-Hermitian or not.
+        rng = np.random.default_rng(5)
+        for k in range(200):
+            n = 2 + k % 6
+            half, d = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+            if k % 2:
+                half = half - half.conj().T
+            half *= 0.1 / np.linalg.norm(half)
+            remainder = cayley_conjugate(2.0 * half, d) - d - 2.0 * commutator(half, d)
+            assert np.linalg.norm(remainder) <= 10.0 * 0.1**2 * np.linalg.norm(d)
+
+    def test_stage_is_read_only_in_a_unitary_context(self):
+        xi, x, stage = _converged_stage(5, 3, 1e-5, 1e-8)
+        assert np.array_equal(cayley_conjugate(xi, x, stage=stage), cayley_conjugate(xi, x))
+
+
 def _loop_spectrum(a, real_tol=1e-9):
     """Canonical spectrum of one matrix, clustered by a while loop: the
     reference the stacked, vectorised `spectrum` must reproduce exactly."""
