@@ -13,8 +13,8 @@ defect, which has two arithmetics, one for a real stage and one for a
 complex stage.  A real stage (rigid body, Toda) forms it in three
 products, mu - a (B mu - mu B) - a^2 (B mu) B - mu_prev with a = h_i/2
 and B = B(mu), because the golden CSV pins those bits; a complex stage
-(Zeitlin's su(N)) in two, (mu - a B mu)(I + a B) - mu_prev, into
-buffers kept for the stage.  Neither assumes a structure of mu or B.
+(Zeitlin's su(N)) in two, (mu - a B mu)(I + a B) - mu_prev.  Neither
+assumes a structure of mu or B.
 
 The next half point is either
 
@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadlie import _count, _frobenius, _half_factors, _real, cayley_conjugate, commutator, dcay_inv
+from .quadlie import _EPS, _count, _frobenius, _half_factors, _real, cayley_conjugate, commutator, dcay_inv
 from .tableau import BUILTIN_TABLEAUS, SdirkTableau
 
 __all__ = [
@@ -87,8 +87,6 @@ __all__ = [
 
 _VARIANT_SIGNS = {"left": 1.0, "right": -1.0}
 _UPDATE_FORMS = ("conjugation", "dcay")
-# No stage can hold its defect below roundoff, so a smaller solver_tol is a config error.
-_TOL_FLOOR = float(np.finfo(float).eps)
 
 
 class _Located:
@@ -152,8 +150,8 @@ class StageLinAlgError(_Located, np.linalg.LinAlgError):
 class StepperConfig:
     """Solver and update-form choices for the isospectral steppers.
 
-    solver_tol is a finite real of at least machine epsilon (`_TOL_FLOOR`)
-    and solver_max_iters an integer >= 1.
+    solver_tol is a finite real of at least machine epsilon (no stage can
+    hold its defect below roundoff) and solver_max_iters an integer >= 1.
     """
 
     variant: str = "left"
@@ -167,8 +165,8 @@ class StepperConfig:
             raise ValueError(f"variant must be one of {sorted(_VARIANT_SIGNS)}, got {self.variant!r}")
         if self.update_form not in _UPDATE_FORMS:
             raise ValueError(f"update_form must be one of {_UPDATE_FORMS}, got {self.update_form!r}")
-        if _real(self.solver_tol, "solver_tol") < _TOL_FLOOR:
-            raise ValueError(f"solver_tol must be finite and at least {_TOL_FLOOR!r}, got {self.solver_tol}")
+        if _real(self.solver_tol, "solver_tol") < _EPS:
+            raise ValueError(f"solver_tol must be finite and at least {_EPS!r}, got {self.solver_tol}")
         _count(self.solver_max_iters, 1, "solver_max_iters")
 
 
@@ -350,11 +348,9 @@ def _stage_sweep(mu_prev, a, b_map):
     for a real stage and one for a complex stage.  A real stage takes
     three products, mu - a (B mu - mu B) - a^2 (B mu) B - mu_prev, the
     bits the golden CSV pins.  A complex stage takes two, t + t ab - mu_prev
-    with ab = a B and t = mu - ab mu, written with out= into a (3, n, n)
-    stack of mu_prev's dtype made once for the stage (the same bits as out
-    of place), and its result also holds t and the defect, the buffers of
-    the last sweep, for the solve-free unitary update (`solve_stage`).
-    Neither assumes a structure of mu or B.
+    with ab = a B and t = mu - ab mu, and its result also holds t and the
+    defect, the sweep's own, for the solve-free unitary update
+    (`quadlie.cayley_conjugate`).  Neither assumes a structure of mu or B.
     """
     # ndarray.dot reaches the same BLAS gemm as @ (the same bits) at about half
     # its dispatch cost on small matrices; it is no batched matmul, so stacks keep @.
@@ -367,16 +363,12 @@ def _stage_sweep(mu_prev, a, b_map):
             return (mu, b), mu - defect, _frobenius(defect)
 
         return sweep
-    ab, t, defect = np.empty((3,) + mu_prev.shape, mu_prev.dtype)
 
     def complex_sweep(mu):
         b = b_map(mu)
-        np.multiply(a, b, out=ab)
-        ab.dot(mu, out=t)
-        np.subtract(mu, t, out=t)
-        t.dot(ab, out=defect)
-        np.add(t, defect, out=defect)
-        np.subtract(defect, mu_prev, out=defect)
+        ab = a * b
+        t = mu - ab.dot(mu)
+        defect = t + t.dot(ab) - mu_prev
         return (mu, b, t, defect), mu - defect, _frobenius(defect)
 
     return complex_sweep
@@ -456,8 +448,9 @@ def solve_stage(mu_prev, h_i: float, system, cfg: StepperConfig) -> StageState:
     Returns the converged stage matrix together with the next half
     point under cfg.update_form; raises NonConvergenceError when
     cfg.solver_max_iters sweeps do not reach tolerance.  A complex stage
-    in a unitary context hands its last sweep's (I - a B) mu_c and
-    defect to the conjugation update, which then needs no solve.
+    in a unitary context hands its converged sweep's (I - a B) mu_c and
+    defect to the conjugation update, which needs no solve where the
+    gates of `quadlie.cayley_conjugate` pass.
     """
     sign = _VARIANT_SIGNS[cfg.variant]
     (mu_c, b, *kept), iters, residual = _reduced_stage(mu_prev, sign * h_i / 2.0, system.B, cfg)
@@ -577,9 +570,10 @@ def cotangent_sdirk_step(state: CotangentState, system, cfg: StepperConfig, h: f
     the iterate is the stacked pair (k_g, k_p), seeded at zero, its
     update is the right-hand side, and the residual is the larger of
     the two blocks' change, within
-    cfg.solver_tol * (1 + ||g||_F + ||p||_F).  The half points then
-    advance by h_i k.  The converged stage pair is exactly the mean of
-    the adjacent half points, and reducing the result through the
+    cfg.solver_tol * (1 + ||g||_F + ||p||_F).  g and p step in the
+    dtype a stage steps in (`_widened`), lifted or not.  The half points
+    then advance by h_i k.  The converged stage pair is exactly the mean
+    of the adjacent half points, and reducing the result through the
     momentum map reproduces the reduced stepper.  Only the left
     variant has this trivialization; cfg.variant must be "left".
     """
@@ -587,7 +581,7 @@ def cotangent_sdirk_step(state: CotangentState, system, cfg: StepperConfig, h: f
         raise ValueError("cotangent stepping is implemented for the left variant only")
 
     def substage(st, h_i):
-        g, p = st.g, st.p
+        g, p = _widened(st.g), _widened(st.p)
         half = h_i / 2.0
 
         def sweep(k):

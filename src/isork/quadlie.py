@@ -248,16 +248,12 @@ def dcay_inv(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return lo.dot(eta).dot(hi)
 
 
-# The gates of the stage form of the unitary update (`_stage_form`).
-# Gate 1: a Hermitian part X + X^dagger of X = xi/2 above this share of
-# ||X||_F is a B off the algebra (clean su(N) stages read 1e-15 or less,
-# the leaking Bs of the tests about 1e-6).
+# Gate 1 of the stage form of the unitary update (`cayley_conjugate`): a
+# Hermitian part X + X^dagger of X = xi/2 above this share of ||X||_F is
+# a B off the algebra (clean su(N) stages read 1e-15 or less, the leaking
+# Bs of the tests about 1e-6).
 _SKEW_SHARE = 1e-12
-# Gate 2: for ||X||_F <= _STAGE_X the terms of cay(xi) d cay(xi)^{-1} past
-# d + 2 (X d - d X) are at most _STAGE_C ||X||_F^2 ||d||_F, and that bound
-# must be at most machine epsilon times ||x||_F.
-_STAGE_X = 0.1
-_STAGE_C = 10.0
+# Machine epsilon: gate 2's roundoff level, and the least solver_tol.
 _EPS = float(np.finfo(float).eps)
 
 
@@ -271,19 +267,23 @@ def _stage_form(half, x, mu_c, t, d):
     where E = 2 X^2 (I - X)^{-1} and F = 2 X^2 (I + X)^{-1} have 2-norms
     of at most 2 r^2 / (1 - r), and ||cay(xi)^{-1}||_2 <= (1 + r) / (1 - r).
     The last term is then d + 2 (X d - d X) plus a remainder
-    R = -4 X d X + E d cay(xi)^{-1} + (I + 2X) d F, and for r <= 0.1
+    R = -4 X d X + E d cay(xi)^{-1} + (I + 2X) d F, and for r < 1
 
-        ||R||_F / (r^2 ||d||_F) <= 4 + 2 (1 + r) / (1 - r)^2 + 2 (1 + 2r) / (1 - r) <= 9.4,
+        ||R||_F / (r^2 ||d||_F) <= c(r) = 4 + 2 (1 + r) / (1 - r)^2 + 2 (1 + 2r) / (1 - r),
 
-    so c = _STAGE_C = 10 bounds it.  With t = (I - X) mu_c, (I + X) mu_c
-    is 2 mu_c - t, and the whole form takes two products:
-    (s - d) - 2 X d - (s - 2d) X with s = 2 mu_c - t.
+    which grows with r, so it holds with ||X||_F for r as well.  With
+    t = (I - X) mu_c, (I + X) mu_c is 2 mu_c - t, and the whole form
+    takes two products: (s - d) - 2 X d - (s - 2d) X with s = 2 mu_c - t.
     """
-    nx = _frobenius(half)
-    # Written as not (bound <= limit), so a NaN fails the gate too.
-    if not (nx <= _STAGE_X and _STAGE_C * nx * nx * _frobenius(d) <= _EPS * _frobenius(x)):
+    r = _frobenius(half)
+    # r < 1 is tested first, so c(r) never divides by zero; each test is
+    # written as not (bound <= limit), so a NaN fails the gate too.
+    if not r < 1.0:
         return None
-    if not _frobenius(half + half.conj().T) <= _SKEW_SHARE * nx:
+    c = 4.0 + 2.0 * (1.0 + r) / (1.0 - r) ** 2 + 2.0 * (1.0 + 2.0 * r) / (1.0 - r)
+    if not c * r * r * _frobenius(d) <= _EPS * _frobenius(x):
+        return None
+    if not _frobenius(half + half.conj().T) <= _SKEW_SHARE * r:
         return None
     s = 2.0 * mu_c - t
     return (s - d) - 2.0 * half.dot(d) - (s - 2.0 * d).dot(half)
@@ -304,11 +304,13 @@ def cayley_conjugate(xi: np.ndarray, x: np.ndarray, unitary: bool = False, stage
     stage whose equation (I - X) mu_c (I + X) = x + d has X = xi/2,
     t = (I - X) mu_c and defect d.  The update is then solve-free,
     (I + X) mu_c (I - X) - d - 2 (X d - d X): the similarity by cay(xi)
-    up to a remainder of at most 10 ||X||_F^2 ||d||_F (`_stage_form`).
-    C x C^dagger stays where either of two gates fails: X has a
-    Hermitian part above 1e-12 ||X||_F (a B off the algebra, left to
-    show as drift), or ||X||_F > 0.1 or that remainder bound exceeds
-    machine epsilon times ||x||_F (a large step or a loose tolerance).
+    up to a remainder of at most c(r) r^2 ||d||_F, where r = ||X||_F < 1
+    and c(r) = 4 + 2 (1 + r) / (1 - r)^2 + 2 (1 + 2r) / (1 - r)
+    (`_stage_form` proves it).  C x C^dagger stays where either of two
+    gates fails: gate 1, X has a Hermitian part above 1e-12 ||X||_F (a B
+    off the algebra, left to show as drift); gate 2, r >= 1 or that
+    remainder bound exceeds machine epsilon times ||x||_F (a large step
+    or a loose tolerance).
     """
     if unitary:
         y = None if stage is None else _stage_form(0.5 * xi, x, *stage)

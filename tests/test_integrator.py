@@ -433,15 +433,29 @@ class TestSolveStage:
         "sys, run",
         [
             (TodaExtended(4), lambda sys, mu: cotangent_sdirk_step(cotangent_lift(mu), sys, _cfg(), 0.1)),
+            (
+                TodaExtended(4),
+                lambda sys, mu: cotangent_sdirk_step(CotangentState(np.eye(4, dtype=mu.dtype), mu), sys, _cfg(), 0.1),
+            ),
             (RigidBody((1.0, 2.0, 3.0)), lambda sys, mu: run_recorded(sys, mu, _cfg(), 0.1, 3, method="rk4")),
         ],
-        ids=["cotangent-toda", "recorded-rk4-rigidbody"],
+        ids=["cotangent-toda", "cotangent-direct-state", "recorded-rk4-rigidbody"],
     )
     def test_wider_than_double_is_a_value_error_on_every_path(self, sys, run):
         # The same rule where the cotangent stepper's mixer and RK4's
-        # recorded eigvals would otherwise fail inside linalg.
+        # recorded eigvals would otherwise fail inside linalg, for a
+        # cotangent state made with or without cotangent_lift.
         with pytest.raises(ValueError, match=np.dtype(np.longdouble).name):
             run(sys, sys.initial_state(0).astype(np.longdouble))
+
+    def test_narrow_cotangent_state_steps_in_double_precision(self):
+        # A float32 state made without cotangent_lift steps as its float64 copy.
+        sys = TodaExtended(4)
+        g, p = np.eye(4, dtype=np.float32), sys.initial_state(0).astype(np.float32)
+        got, _ = cotangent_sdirk_step(CotangentState(g, p), sys, _cfg(), 0.1)
+        ref, _ = cotangent_sdirk_step(CotangentState(g.astype(float), p.astype(float)), sys, _cfg(), 0.1)
+        assert got.g.dtype == got.p.dtype == np.float64
+        assert np.array_equal(got.g, ref.g) and np.array_equal(got.p, ref.p)
 
     def test_complex64_yoshida4_step_converges(self):
         # The first substep widens the complex64 state and the composition,
@@ -1441,24 +1455,27 @@ class TestUnitaryUpdate:
         assert solves == []
 
     @pytest.mark.parametrize(
-        "make, h, tol",
+        "make, h, tol, seed",
         [
-            (lambda: _LeakyZeitlin(9, 1e-6 * np.eye(9)), 0.0025, 1e-13),
-            (lambda: ZeitlinSphere(33), 0.05, 1e-13),
-            (lambda: ZeitlinSphere(33), 0.0025, 1e-8),
+            (lambda: _LeakyZeitlin(9, 1e-6 * np.eye(9)), 0.0025, 1e-13, 0),
+            (lambda: ZeitlinSphere(33), 0.05, 1e-13, 0),
+            (lambda: ZeitlinSphere(33), 0.05, 1e-13, 42),
+            (lambda: ZeitlinSphere(33), 0.0025, 1e-8, 0),
         ],
-        ids=["leaky-B", "large-h", "loose-tol"],
+        ids=["leaky-B", "large-h", "large-h-seed-42", "loose-tol"],
     )
-    def test_gated_stages_take_one_solve(self, make, h, tol, monkeypatch):
+    def test_gated_stages_take_one_solve(self, make, h, tol, seed, monkeypatch):
         # Gate 1 turns away a B off su(N), whose congruence keeps the leak
         # visible; gate 2 a step or a tolerance whose dropped remainder could
-        # exceed roundoff.  Each such stage is C mu C^dagger, bit for bit.
+        # exceed roundoff (seed 42 at h = 0.05, CI's run: r = ||X||_F about
+        # 0.21, a bound of about 200 eps ||x||_F).  Each such stage is
+        # C mu C^dagger, bit for bit.
         import isork.quadlie as quadlie
 
         calls = _spy_on_updates(monkeypatch)
         solves = _spy_on(monkeypatch, quadlie, "cayley")
         sys = make()
-        traj = run_trajectory(sys.initial_state(0), sys, _cfg(solver_tol=tol), h, 10)
+        traj = run_trajectory(sys.initial_state(seed), sys, _cfg(solver_tol=tol), h, 10)
         assert len(calls) == len(solves) == sum(len(stages) for _, stages in traj) == 10
         for xi, x, unitary, got in calls:
             assert unitary
@@ -1508,6 +1525,18 @@ def _operand(rng, n, dtype, order):
     return x if order == "C" else np.ascontiguousarray(x).T
 
 
+def test_complex_sweep_keeps_what_it_returned():
+    # The solve-free update reads the converged sweep's t and defect, so a
+    # later sweep of the same stage must leave them as they were.
+    rng = np.random.default_rng(33)
+    mu_prev, b, mu, later = (_operand(rng, 33, complex, "C") for _ in range(4))
+    sweep = _stage_sweep(mu_prev, 0.05, lambda m: b)
+    (_, _, t, defect), _, _ = sweep(mu)
+    kept = t.copy(), defect.copy()
+    sweep(later)
+    assert np.array_equal(t, kept[0]) and np.array_equal(defect, kept[1])
+
+
 @pytest.mark.parametrize("n, dtype", [(3, float), (4, float), (33, complex)], ids=["real3", "real4", "complex33"])
 @pytest.mark.parametrize("left, right", [("C", "C"), ("C", "F"), ("F", "C"), ("F", "F")])
 class TestProductsMatchMatmul:
@@ -1541,9 +1570,9 @@ class TestProductsMatchMatmul:
 
     def test_stage_sweep(self, n, dtype, left, right):
         # A real stage keeps the three products the golden CSV pins; a
-        # complex one takes two, written into buffers it keeps.  The sweep
-        # returns (mu, B(mu)), mu - defect and the defect's norm; the second
-        # sweep reuses the first's buffers.
+        # complex one takes two.  The sweep returns (mu, B(mu)), mu - defect
+        # and the defect's norm; a second sweep of the same stage gives the
+        # same bits.
         rng = np.random.default_rng(n)
         mu, b = _operand(rng, n, dtype, left), _operand(rng, n, dtype, right)
         mu_prev, a = _operand(rng, n, dtype, "C"), 0.05

@@ -1,6 +1,8 @@
 """Cayley maps, membership, canonical spectra, and the seeded generator."""
 
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from isork.quadlie import (
     QuadraticStructure,
     SplitMix64,
+    _EPS,
     _frobenius,
     _trace,
     cayley,
@@ -241,6 +244,11 @@ def _converged_stage(n, seed, half_norm, defect_norm):
     return xi, t @ (eye + xi / 2.0) - d, (mu_c, t, d)
 
 
+def _remainder_constant(r):
+    """c(r) = 4 + 2 (1 + r) / (1 - r)^2 + 2 (1 + 2r) / (1 - r), the bound of gate 2 for r < 1."""
+    return 4.0 + 2.0 * (1.0 + r) / (1.0 - r) ** 2 + 2.0 * (1.0 + 2.0 * r) / (1.0 - r)
+
+
 class TestStageForm:
     # With a converged stage, the unitary update is (I + X) mu_c (I - X)
     # - d - 2 (X d - d X), no solve; C x C^dagger where a gate fails.
@@ -263,29 +271,58 @@ class TestStageForm:
 
     @pytest.mark.parametrize(
         "leak, half_norm, defect_norm",
-        [(1e-9, 1e-3, 1e-14), (0.0, 0.05, 1e-12), (0.0, 0.2, 0.0)],
-        ids=["hermitian-part", "remainder-above-roundoff", "X-above-0.1"],
+        [(1e-9, 1e-3, 1e-14), (0.0, 0.05, 1e-12), (0.0, 1.0, 0.0), (0.0, 1.5, 0.0)],
+        ids=["hermitian-part", "remainder-above-roundoff", "X-at-1", "X-above-1"],
     )
     def test_a_failed_gate_takes_one_solve(self, leak, half_norm, defect_norm):
         # Gate 1: a Hermitian part of X above 1e-12 ||X||_F.  Gate 2:
-        # ||X||_F > 0.1, or 10 ||X||_F^2 ||d||_F above eps ||x||_F.
+        # r = ||X||_F >= 1, or c(r) r^2 ||d||_F above eps ||x||_F.  r >= 1
+        # fails before c(r), which divides by 1 - r, is formed, so it
+        # raises nothing and warns of nothing, whatever d.
         xi, x, stage = _converged_stage(5, 7, half_norm, defect_norm)
         xi = xi + leak * np.eye(5)
         one = cayley_conjugate(xi, x, unitary=True)
-        assert np.array_equal(cayley_conjugate(xi, x, unitary=True, stage=stage), one)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cayley_conjugate(xi, x, unitary=True, stage=stage)
+        assert np.array_equal(got, one)
+
+    def test_defect_free_stage_is_solve_free_at_r_0_2(self, monkeypatch):
+        # With d = 0 the bound is 0 at any r < 1, so gate 2 passes.
+        import isork.quadlie as quadlie
+
+        xi, x, stage = _converged_stage(5, 7, 0.2, 0.0)
+        two = cayley_conjugate(xi, x)
+        solves = []
+        monkeypatch.setattr(quadlie, "cayley", lambda xi: solves.append(xi))
+        got = cayley_conjugate(xi, x, unitary=True, stage=stage)
+        assert solves == []
+        assert np.linalg.norm(got - two) <= 1e-14 * np.linalg.norm(two)
+
+    def test_gate_2_bounds_with_c_of_r(self):
+        # At r = 0.3, c(r) = 13.9: a defect between eps ||x||_F / (c(r) r^2)
+        # and eps ||x||_F / r^2 passes a bound without c(r) but not gate 2.
+        r = 0.3
+        c = _remainder_constant(r)
+        _, x, _ = _converged_stage(5, 7, r, 0.0)
+        xi, x, stage = _converged_stage(5, 7, r, _EPS * np.linalg.norm(x) / (math.sqrt(c) * r * r))
+        limit = _EPS * np.linalg.norm(x) / (r * r)
+        assert limit / c < np.linalg.norm(stage[2]) < limit
+        assert np.array_equal(cayley_conjugate(xi, x, unitary=True, stage=stage), cayley_conjugate(xi, x, unitary=True))
 
     def test_remainder_is_within_the_stated_bound(self):
-        # Gate 2's constant: for ||X||_F <= 0.1, cay(xi) d cay(xi)^{-1}
-        # - d - 2 (X d - d X) is at most 10 ||X||_F^2 ||d||_F, X skew-Hermitian or not.
+        # Gate 2's bound: for r = ||X||_F < 1, cay(xi) d cay(xi)^{-1}
+        # - d - 2 (X d - d X) is at most c(r) r^2 ||d||_F, X skew-Hermitian or not.
         rng = np.random.default_rng(5)
-        for k in range(200):
-            n = 2 + k % 6
-            half, d = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
-            if k % 2:
-                half = half - half.conj().T
-            half *= 0.1 / np.linalg.norm(half)
-            remainder = cayley_conjugate(2.0 * half, d) - d - 2.0 * commutator(half, d)
-            assert np.linalg.norm(remainder) <= 10.0 * 0.1**2 * np.linalg.norm(d)
+        for r in (0.1, 0.3, 0.6, 0.9):
+            for k in range(200):
+                n = 2 + k % 6
+                half, d = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+                if k % 2:
+                    half = half - half.conj().T
+                half *= r / np.linalg.norm(half)
+                remainder = cayley_conjugate(2.0 * half, d) - d - 2.0 * commutator(half, d)
+                assert np.linalg.norm(remainder) <= _remainder_constant(r) * r**2 * np.linalg.norm(d)
 
     def test_stage_is_read_only_in_a_unitary_context(self):
         xi, x, stage = _converged_stage(5, 3, 1e-5, 1e-8)
