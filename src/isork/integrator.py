@@ -30,8 +30,8 @@ same arithmetic as stepping with -h_i.
 
 The conjugation takes two solves, except when the system's context is
 unitary (J = I with a complex J, as for su(N)).  There the converged
-complex stage hands (I - X) mu_c and its defect, X = (h_i/2) B(mu_c), to
-the update, which forms the similarity without a solve up to a
+complex sweep hands the update its X = (h_i/2) B(mu_c) and defect d, and
+mu_prev + 2 [X, mu_c - d] is the similarity without a solve, up to a
 remainder below roundoff; where one of two gates turns that away, it is
 C mu_prev C^dagger with C = cay(h_i B(mu_c)), one solve and two products
 (`quadlie.cayley_conjugate`).  xi is not projected onto the algebra, so
@@ -341,15 +341,15 @@ def _unit_images(b_map, n):
     return units, bk
 
 
-def _stage_sweep(mu_prev, a, b_map):
+def _stage_sweep(mu_prev, a, b_map, norm):
     """The Picard sweep of a stage: mu -> ((mu, B(mu), ...), mu - defect, ||defect||_F).
 
     The defect (I - a B) mu (I + a B) - mu_prev has two arithmetics, one
     for a real stage and one for a complex stage.  A real stage takes
     three products, mu - a (B mu - mu B) - a^2 (B mu) B - mu_prev, the
     bits the golden CSV pins.  A complex stage takes two, t + t ab - mu_prev
-    with ab = a B and t = mu - ab mu, and its result also holds t and the
-    defect, the sweep's own, for the solve-free unitary update
+    with ab = a B and t = mu - ab mu, and its result also holds ab, the
+    defect and norm = ||mu_prev||_F, for the solve-free unitary update
     (`quadlie.cayley_conjugate`).  Neither assumes a structure of mu or B.
     """
     # ndarray.dot reaches the same BLAS gemm as @ (the same bits) at about half
@@ -369,7 +369,7 @@ def _stage_sweep(mu_prev, a, b_map):
         ab = a * b
         t = mu - ab.dot(mu)
         defect = t + t.dot(ab) - mu_prev
-        return (mu, b, t, defect), mu - defect, _frobenius(defect)
+        return (mu, b, ab, defect, norm), mu - defect, _frobenius(defect)
 
     return complex_sweep
 
@@ -396,8 +396,8 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     Returns ((mu, B(mu), ...), iters, residual), the residual being the
     stage-equation defect ||(I - a B) mu (I + a B) - mu_prev||_F of mu,
     within cfg.solver_tol * (1 + ||mu_prev||_F); a complex stage's tuple
-    also holds (I - a B) mu and the defect.  Each sweep's update is the
-    Picard step mu - defect.
+    also holds a B(mu), the defect and that ||mu_prev||_F.  Each sweep's
+    update is the Picard step mu - defect.
 
     A stage steps in float64 or complex128 whatever the width of its
     input: mu_prev is widened once, here (`_widened`), before any solve.
@@ -423,7 +423,8 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     singular J gives None, and the stage mixes.
     """
     mu_prev = _widened(mu_prev)
-    sweep = _stage_sweep(mu_prev, a, b_map)
+    norm = _frobenius(mu_prev)
+    sweep = _stage_sweep(mu_prev, a, b_map, norm)
 
     def linearize(result):
         mu, b = result
@@ -437,7 +438,7 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
         except np.linalg.LinAlgError:
             return None
 
-    scale = cfg.solver_tol * (1.0 + _frobenius(mu_prev))
+    scale = cfg.solver_tol * (1.0 + norm)
     small = mu_prev.dtype.kind != "c" and len(mu_prev) <= _CHORD_MAX_N
     return _fixed_point(sweep, mu_prev, scale, cfg.solver_max_iters, linearize if small else None)
 
@@ -448,9 +449,9 @@ def solve_stage(mu_prev, h_i: float, system, cfg: StepperConfig) -> StageState:
     Returns the converged stage matrix together with the next half
     point under cfg.update_form; raises NonConvergenceError when
     cfg.solver_max_iters sweeps do not reach tolerance.  A complex stage
-    in a unitary context hands its converged sweep's (I - a B) mu_c and
-    defect to the conjugation update, which needs no solve where the
-    gates of `quadlie.cayley_conjugate` pass.
+    in a unitary context hands the conjugation update its converged
+    sweep's X = a B(mu_c) (the bits of xi/2), defect d, ||mu_prev||_F and
+    residual ||d||_F; it needs no solve where the gates pass.
     """
     sign = _VARIANT_SIGNS[cfg.variant]
     (mu_c, b, *kept), iters, residual = _reduced_stage(mu_prev, sign * h_i / 2.0, system.B, cfg)
@@ -458,7 +459,7 @@ def solve_stage(mu_prev, h_i: float, system, cfg: StepperConfig) -> StageState:
     if cfg.update_form == "conjugation":
         # Resolved by name at each call: the benchmark's tracer swaps this name.
         unitary = getattr(getattr(system, "context", None), "unitary", False)
-        stage = (mu_c, *kept) if unitary and kept else None
+        stage = (mu_c, *kept, residual) if unitary and kept else None
         mu_half = cayley_conjugate(xi, mu_prev, unitary=unitary, stage=stage)
     else:
         mu_half = dcay_inv(-xi, mu_c)

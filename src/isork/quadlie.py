@@ -13,7 +13,8 @@ linear solve per application).  The isospectral update conjugates by
 it, cay(xi) x cay(xi)^{-1}: two solves, or in a unitary context one
 solve and two products, C x C^dagger with C = cay(xi), since
 cay(xi)^{-1} = cay(xi)^dagger for skew-Hermitian xi.  Given the
-converged stage that produced xi, a unitary update takes no solve: the
+converged stage that produced xi, with its X = xi/2, stage matrix mu_c
+and defect d, a unitary update takes no solve: x + 2 [X, mu_c - d], the
 stage's dcay product minus its defect carried through cay(xi) to first
 order, two products (`cayley_conjugate`).  xi is not projected onto the
 algebra, so a Hermitian part shows as spectral drift.  Its
@@ -249,7 +250,7 @@ def dcay_inv(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
 
 # Gate 1 of the stage form of the unitary update (`cayley_conjugate`): a
-# Hermitian part X + X^dagger of X = xi/2 above this share of ||X||_F is
+# Hermitian part xi + xi^dagger above this share of ||xi||_F is
 # a B off the algebra (clean su(N) stages read 1e-15 or less, the leaking
 # Bs of the tests about 1e-6).
 _SKEW_SHARE = 1e-12
@@ -257,12 +258,14 @@ _SKEW_SHARE = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
-def _stage_form(half, x, mu_c, t, d):
-    """(I + X) mu_c (I - X) - d - 2 (X d - d X) with X = half, or None where a gate fails.
+def _stage_form(xi, x, mu_c, half, d, x_norm, d_norm):
+    """x + 2 [X, mu_c - d] with X = half = xi/2, or None where a gate fails; x_norm, d_norm = ||x||_F, ||d||_F.
 
-    The stage equation (I - X) mu_c (I + X) = x + d and the commuting
-    factors I - X and I + X make cay(xi) x cay(xi)^{-1} exactly
-    (I + X) mu_c (I - X) - cay(xi) d cay(xi)^{-1}.  With r = ||X||_2
+        (I + X) mu_c (I - X) = (I - X) mu_c (I + X) + 2 [X, mu_c] = x + d + 2 [X, mu_c], so
+        (I + X) mu_c (I - X) - d - 2 (X d - d X) = x + 2 [X, mu_c - d]: two products, no solve.
+
+    With the commuting factors I - X and I + X, cay(xi) x cay(xi)^{-1} is
+    exactly (I + X) mu_c (I - X) - cay(xi) d cay(xi)^{-1}.  With r = ||X||_2
     (at most ||X||_F), cay(xi) = I + 2X + E and cay(xi)^{-1} = I - 2X + F,
     where E = 2 X^2 (I - X)^{-1} and F = 2 X^2 (I + X)^{-1} have 2-norms
     of at most 2 r^2 / (1 - r), and ||cay(xi)^{-1}||_2 <= (1 + r) / (1 - r).
@@ -271,9 +274,7 @@ def _stage_form(half, x, mu_c, t, d):
 
         ||R||_F / (r^2 ||d||_F) <= c(r) = 4 + 2 (1 + r) / (1 - r)^2 + 2 (1 + 2r) / (1 - r),
 
-    which grows with r, so it holds with ||X||_F for r as well.  With
-    t = (I - X) mu_c, (I + X) mu_c is 2 mu_c - t, and the whole form
-    takes two products: (s - d) - 2 X d - (s - 2d) X with s = 2 mu_c - t.
+    which grows with r, so it holds with ||X||_F for r as well.
     """
     r = _frobenius(half)
     # r < 1 is tested first, so c(r) never divides by zero; each test is
@@ -281,12 +282,12 @@ def _stage_form(half, x, mu_c, t, d):
     if not r < 1.0:
         return None
     c = 4.0 + 2.0 * (1.0 + r) / (1.0 - r) ** 2 + 2.0 * (1.0 + 2.0 * r) / (1.0 - r)
-    if not c * r * r * _frobenius(d) <= _EPS * _frobenius(x):
+    if not c * r * r * d_norm <= _EPS * x_norm:
         return None
-    if not _frobenius(half + half.conj().T) <= _SKEW_SHARE * r:
+    # Gate 1 reads xi, by which the fallback conjugates; ||xi||_F = 2r.
+    if not _frobenius(xi + xi.conj().T) <= _SKEW_SHARE * 2.0 * r:
         return None
-    s = 2.0 * mu_c - t
-    return (s - d) - 2.0 * half.dot(d) - (s - 2.0 * d).dot(half)
+    return x + 2.0 * commutator(half, mu_c - d)
 
 
 def cayley_conjugate(xi: np.ndarray, x: np.ndarray, unitary: bool = False, stage=None) -> np.ndarray:
@@ -300,20 +301,21 @@ def cayley_conjugate(xi: np.ndarray, x: np.ndarray, unitary: bool = False, stage
     part makes that a congruence, not a similarity, and it shows as
     spectral drift rather than being hidden.
 
-    stage=(mu_c, t, d), read only with unitary=True, is a converged
-    stage whose equation (I - X) mu_c (I + X) = x + d has X = xi/2,
-    t = (I - X) mu_c and defect d.  The update is then solve-free,
-    (I + X) mu_c (I - X) - d - 2 (X d - d X): the similarity by cay(xi)
-    up to a remainder of at most c(r) r^2 ||d||_F, where r = ||X||_F < 1
-    and c(r) = 4 + 2 (1 + r) / (1 - r)^2 + 2 (1 + 2r) / (1 - r)
+    stage=(mu_c, X, d, ||x||_F, ||d||_F), read only with unitary=True,
+    is a converged stage whose equation (I - X) mu_c (I + X) = x + d has
+    defect d and X bit-equal to xi/2; the two norms must be those of
+    this x and d, as gate 2 trusts them.  The update is then solve-free,
+    x + 2 [X, mu_c - d]: the similarity by cay(xi) up to a remainder of
+    at most c(r) r^2 ||d||_F, where r = ||X||_F < 1 and
+    c(r) = 4 + 2 (1 + r) / (1 - r)^2 + 2 (1 + 2r) / (1 - r)
     (`_stage_form` proves it).  C x C^dagger stays where either of two
-    gates fails: gate 1, X has a Hermitian part above 1e-12 ||X||_F (a B
+    gates fails: gate 1, xi has a Hermitian part above 1e-12 ||xi||_F (a B
     off the algebra, left to show as drift); gate 2, r >= 1 or that
     remainder bound exceeds machine epsilon times ||x||_F (a large step
     or a loose tolerance).
     """
     if unitary:
-        y = None if stage is None else _stage_form(0.5 * xi, x, *stage)
+        y = None if stage is None else _stage_form(xi, x, *stage)
         if y is not None:
             return y
         c = cayley(xi)

@@ -334,8 +334,8 @@ def zeitlin_laplacian(w: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _laplacian_pinv(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pseudoinverse of the Laplacian over the wrapped diagonals of w and w^T.
+def _laplacian_pinv(N: int, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pseudoinverse of the Laplacian, times scale, over the wrapped diagonals of w and w^T.
 
     Returns (stack, gather, scatter).  Wrapped diagonal k of w is
     w[i, (i+k) % N], i = 0..N-1: the diagonal w[i, i+k] of length N-k
@@ -371,6 +371,7 @@ def _laplacian_pinv(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     stack[0] += 1.0 / N
     stack = np.linalg.inv(stack)
     stack[0] -= 1.0 / N
+    stack *= scale
     gather = np.stack([rows * N + cols, cols * N + rows], axis=-1)
     scatter = np.unique(gather, return_index=True)[1].reshape(N, N)
     for arr in (stack, gather, scatter):
@@ -387,28 +388,25 @@ def zeitlin_laplacian_inv(w: np.ndarray) -> np.ndarray:
     trace_residual = abs(complex(_trace(w)))
     if trace_residual > 1e-10 * (1.0 + _frobenius(w)):
         raise ValueError(f"inverse Laplacian needs traceless input (|tr| = {trace_residual:.3e})")
-    return _apply_laplacian_pinv(w)
+    return _apply_laplacian_pinv(w, *_laplacian_pinv(w.shape[-1]))
 
 
-def _apply_laplacian_pinv(w: np.ndarray) -> np.ndarray:
-    """The pseudoinverse applied to w, or to each matrix of a stack, without the trace check.
+def _apply_laplacian_pinv(w: np.ndarray, stack, gather, scatter) -> np.ndarray:
+    """A block stack of `_laplacian_pinv`'s layout applied to w, or to each matrix of a stack.
 
     Pairs wrapped diagonal k of w with wrapped diagonal k of w^T, which
     meet the same block: one batched product of N//2 + 1 blocks against
-    (N, 4) real columns, scattered back in one gather.
+    (N, 4) real columns, scattered back in one gather.  No trace check.
+    Plain indexing gathers one matrix, the faster call; `take` a stack.
     """
     N, lead = w.shape[-1], w.shape[:-2]
-    stack, gather, scatter = _laplacian_pinv(N)
-    diagonals = np.ascontiguousarray(_take_last(w.reshape(*lead, N * N), gather), dtype=complex)
+    flat = w.reshape(*lead, N * N)
+    diagonals = np.ascontiguousarray(flat.take(gather, axis=-1) if lead else flat[gather], dtype=complex)
     # Real blocks act on real and imaginary parts alike: view the two
     # complex columns as four real ones (re, im of w; re, im of w^T).
     solved = stack @ diagonals.view(np.float64).reshape(*lead, N // 2 + 1, N, 4)
-    return _take_last(solved.view(complex).reshape(*lead, -1), scatter)
-
-
-def _take_last(x: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """x[..., index]; plain indexing of a 1-D x is the faster call."""
-    return x[index] if x.ndim == 1 else x.take(index, axis=-1)
+    solved = solved.view(complex).reshape(*lead, -1)
+    return solved.take(scatter, axis=-1) if lead else solved[scatter]
 
 
 class ZeitlinSphere(IsospectralSystem):
@@ -424,7 +422,8 @@ class ZeitlinSphere(IsospectralSystem):
     inverse reading that is -N^{3/2} laplacian_inv(w) on skew-Hermitian
     states: the conjugate transpose flips the stream matrix's sign,
     which fixes the flow's orientation; the finite-difference check on
-    grad H pins the gradient itself.
+    grad H pins the gradient itself.  Its pseudoinverse stack has N^{3/2}
+    folded in (`_laplacian_pinv`'s scale): the stream is one batched product.
 
     Odd-order traces of skew-Hermitian matrices are purely imaginary,
     so the casimir_3 and casimir_5 diagnostics record the imaginary
@@ -432,11 +431,12 @@ class ZeitlinSphere(IsospectralSystem):
     the real part; see `casimirs`.
 
     The context is su(N), a unitary one, so each conjugation update
-    takes no solve: the stage's dcay product minus its defect carried
-    through cay(h_i B(mu_c)), or C mu C^dagger with C = cay(h_i B(mu_c)),
-    one solve, where a gate turns that away (`quadlie.cayley_conjugate`).
-    B is not projected onto su(N), so a B with a Hermitian part takes
-    the one-solve update and shows as spectral drift.
+    takes no solve: mu_prev + 2 [X, mu_c - d] from the stage's
+    X = (h_i/2) B(mu_c) and defect d, or C mu C^dagger with
+    C = cay(h_i B(mu_c)), one solve, where a gate turns that away
+    (`quadlie.cayley_conjugate`).  B is not projected onto su(N), so a B
+    with a Hermitian part takes the one-solve update and shows as
+    spectral drift.
     """
 
     name = "zeitlin"
@@ -446,33 +446,27 @@ class ZeitlinSphere(IsospectralSystem):
         self.n = self.N = N = _sphere_size(N)
         self.context = special_unitary_structure(N)
         self.forward_laplacian = bool(forward_laplacian)
-        if forward_laplacian:
-            self._operator = zeitlin_laplacian
-        else:
-            _laplacian_pinv(N)  # precompute; instances stay immutable after this
-            self._operator = _apply_laplacian_pinv
-        self._scale = N ** 1.5
+        if not forward_laplacian:
+            self._pinv = _laplacian_pinv(N, N ** 1.5)
 
-    def _stream(self, w: np.ndarray) -> np.ndarray:
+    def grad_hamiltonian(self, w: np.ndarray) -> np.ndarray:
         # Implicit stage iterates drift O(h^2) off su(N) along the identity, the
         # Laplacian's kernel; the pseudoinverse's k = 0 block annihilates it as
         # well, so that trace drift never reaches the stream.
-        return self._scale * self._operator(w)
+        if self.forward_laplacian:
+            return self.N ** 1.5 * zeitlin_laplacian(w)
+        return _apply_laplacian_pinv(w, *self._pinv)
 
     def hamiltonian(self, w: np.ndarray) -> float:
         # trace(stream^H w) as one dot product per matrix; contiguous rows
         # keep a stack's bits equal to its matrices' (strides pick the BLAS kernel).
         lead = w.shape[:-2]
-        stream, w = np.ascontiguousarray(self._stream(w)), np.ascontiguousarray(w)
+        stream, w = np.ascontiguousarray(self.grad_hamiltonian(w)), np.ascontiguousarray(w)
         return _float(0.5 * np.real(np.vecdot(stream.reshape(*lead, -1), w.reshape(*lead, -1))))
-
-    def grad_hamiltonian(self, w: np.ndarray) -> np.ndarray:
-        return self._stream(w)
 
     def B(self, w: np.ndarray) -> np.ndarray:
         # (grad H)^dagger; the stream matrix is fresh, so conjugate in place.
-        stream = self._stream(w)
-        return np.conjugate(stream, out=stream).T
+        return np.conjugate(stream := self.grad_hamiltonian(w), out=stream).T
 
     def initial_state(self, seed: int, scale: float = 1.0) -> np.ndarray:
         w = random_algebra_element(self.context, seed, 1.0)

@@ -1481,14 +1481,39 @@ class TestUnitaryUpdate:
             assert unitary
             assert np.array_equal(got, cayley_conjugate(xi, x, unitary=True))
 
+    def test_gate_2_reads_the_stage_norms(self, monkeypatch):
+        # The solve-free update reads the stage's own X and norms: X is the
+        # converged sweep's a B, the bits of xi/2; ||x||_F the norm of the
+        # tolerance scale and ||d||_F the converged residual, each bit-equal
+        # to a fresh norm of the converged sweep's x and d.
+        import isork.integrator as integrator
+
+        stages = []
+
+        def spy(xi, x, unitary=False, stage=None):
+            stages.append((xi, x, stage))
+            return cayley_conjugate(xi, x, unitary=unitary, stage=stage)
+
+        monkeypatch.setattr(integrator, "cayley_conjugate", spy)
+        sys = ZeitlinSphere(33)
+        run_trajectory(sys.initial_state(0), sys, _cfg(), 0.0025, 5)
+        assert len(stages) == 5
+        for xi, x, (_, half, d, x_norm, d_norm) in stages:
+            assert np.array_equal(half, xi / 2.0)
+            assert x_norm == _frobenius(x) and d_norm == _frobenius(d)
+
     def test_long_run_spectral_drift_stays_at_roundoff(self):
         # N = 17, h = 0.0025, 20,000 steps: C mu C^dagger at every stage read
         # 7.2e-14 (a congruence, so the stages' roundoff off su(N) builds up),
-        # the solve-free update 9.1e-15, two solves at every stage 5.6e-15.
+        # two solves at every stage 5.6e-15, the solve-free update formed as
+        # (I + X) mu_c (I - X) - d - 2 [X, d] 9.1e-15 (membership residual
+        # 5.0e-14), and as x + 2 [X, mu_c - d] 2.0e-15 (6.7e-15).  Each bound
+        # is about 2.5-3x the last reading and below the one before it.
         sys = ZeitlinSphere(17)
         records = run_recorded(sys, sys.initial_state(42), _cfg(), 0.0025, 20000, record_every=100)
         assert len(records) == 201
-        assert max(r.spectral_drift for r in records) <= 2e-14
+        assert max(r.spectral_drift for r in records) <= 5e-15
+        assert max(r.membership_residual for r in records) <= 2e-14
 
 
 def test_one_sweep_loop_call_per_stage(monkeypatch):
@@ -1526,15 +1551,15 @@ def _operand(rng, n, dtype, order):
 
 
 def test_complex_sweep_keeps_what_it_returned():
-    # The solve-free update reads the converged sweep's t and defect, so a
-    # later sweep of the same stage must leave them as they were.
+    # The solve-free update reads the converged sweep's X = a B and defect,
+    # so a later sweep of the same stage must leave them as they were.
     rng = np.random.default_rng(33)
     mu_prev, b, mu, later = (_operand(rng, 33, complex, "C") for _ in range(4))
-    sweep = _stage_sweep(mu_prev, 0.05, lambda m: b)
-    (_, _, t, defect), _, _ = sweep(mu)
-    kept = t.copy(), defect.copy()
+    sweep = _stage_sweep(mu_prev, 0.05, lambda m: b, _frobenius(mu_prev))
+    (_, _, half, defect, *_), _, _ = sweep(mu)
+    kept = half.copy(), defect.copy()
     sweep(later)
-    assert np.array_equal(t, kept[0]) and np.array_equal(defect, kept[1])
+    assert np.array_equal(half, kept[0]) and np.array_equal(defect, kept[1])
 
 
 @pytest.mark.parametrize("n, dtype", [(3, float), (4, float), (33, complex)], ids=["real3", "real4", "complex33"])
@@ -1583,7 +1608,7 @@ class TestProductsMatchMatmul:
             ab = a * b
             t = mu - ab @ mu
             ref = t + t @ ab - mu_prev
-        sweep = _stage_sweep(mu_prev, a, lambda m: b)
+        sweep = _stage_sweep(mu_prev, a, lambda m: b, _frobenius(mu_prev))
         for _ in range(2):
             (got_mu, got_b, *_), gx, residual = sweep(mu)
             assert got_mu is mu and got_b is b

@@ -228,7 +228,7 @@ class TestUnitaryContext:
 
 
 def _converged_stage(n, seed, half_norm, defect_norm):
-    """xi, x and stage=(mu_c, t, d) of a stage (I - X) mu_c (I + X) = x + d, X = xi/2 in su(n).
+    """xi, x and stage=(mu_c, X, d, ||x||_F, ||d||_F) of a stage (I - X) mu_c (I + X) = x + d, X = xi/2 in su(n).
 
     ||X||_F and ||d||_F are as given, ||mu_c||_F = 1; d is a random complex matrix, in no algebra.
     """
@@ -240,8 +240,8 @@ def _converged_stage(n, seed, half_norm, defect_norm):
     d = SplitMix64(seed + 2).uniform((n, n)) + 1j * SplitMix64(seed + 3).uniform((n, n))
     d *= defect_norm / _frobenius(d)
     eye = np.eye(n)
-    t = (eye - xi / 2.0) @ mu_c
-    return xi, t @ (eye + xi / 2.0) - d, (mu_c, t, d)
+    x = (eye - xi / 2.0) @ mu_c @ (eye + xi / 2.0) - d
+    return xi, x, (mu_c, xi / 2.0, d, _frobenius(x), _frobenius(d))
 
 
 def _remainder_constant(r):
@@ -250,8 +250,8 @@ def _remainder_constant(r):
 
 
 class TestStageForm:
-    # With a converged stage, the unitary update is (I + X) mu_c (I - X)
-    # - d - 2 (X d - d X), no solve; C x C^dagger where a gate fails.
+    # With a converged stage, the unitary update is x + 2 [X, mu_c - d],
+    # no solve; C x C^dagger where a gate fails.
 
     @pytest.mark.parametrize("n", [6, 33])
     def test_solve_free_matches_two_solves(self, n, monkeypatch):
@@ -275,7 +275,7 @@ class TestStageForm:
         ids=["hermitian-part", "remainder-above-roundoff", "X-at-1", "X-above-1"],
     )
     def test_a_failed_gate_takes_one_solve(self, leak, half_norm, defect_norm):
-        # Gate 1: a Hermitian part of X above 1e-12 ||X||_F.  Gate 2:
+        # Gate 1: a Hermitian part of xi above 1e-12 ||xi||_F.  Gate 2:
         # r = ||X||_F >= 1, or c(r) r^2 ||d||_F above eps ||x||_F.  r >= 1
         # fails before c(r), which divides by 1 - r, is formed, so it
         # raises nothing and warns of nothing, whatever d.
@@ -323,6 +323,31 @@ class TestStageForm:
                 half *= r / np.linalg.norm(half)
                 remainder = cayley_conjugate(2.0 * half, d) - d - 2.0 * commutator(half, d)
                 assert np.linalg.norm(remainder) <= _remainder_constant(r) * r**2 * np.linalg.norm(d)
+
+    @pytest.mark.parametrize("skew", [True, False], ids=["skew-hermitian", "general"])
+    def test_commutator_form_is_the_two_product_dcay_form(self, skew, monkeypatch):
+        # x + 2 [X, mu_c - d] is (s - d) - 2 X d - (s - 2d) X with
+        # s = 2 mu_c - (I - X) mu_c, the form it replaced, for any X with
+        # r = ||X||_F < 1, mu_c and d.  Gate 1 is lifted for an X off the
+        # algebra, and d_norm = 0 passes gate 2 at a defect the dropped
+        # -d or a flipped commutator would show far above roundoff.
+        import isork.quadlie as quadlie
+
+        monkeypatch.setattr(quadlie, "_SKEW_SHARE", math.inf)
+        rng = np.random.default_rng(35)
+        for k in range(60):
+            n = 2 + k % 32
+            half, mu_c, d = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+            if skew:
+                half = half - half.conj().T
+            half *= rng.uniform(0.001, 0.99) / np.linalg.norm(half)
+            d *= 1e-3 * np.linalg.norm(mu_c) / np.linalg.norm(d)
+            eye = np.eye(n)
+            x = (eye - half) @ mu_c @ (eye + half) - d
+            s = 2.0 * mu_c - (eye - half) @ mu_c
+            two_product = (s - d) - 2.0 * half @ d - (s - 2.0 * d) @ half
+            got = quadlie._stage_form(2.0 * half, x, mu_c, half, d, np.linalg.norm(x), 0.0)
+            assert np.linalg.norm(got - two_product) <= 8 * _EPS * np.linalg.norm(two_product)
 
     def test_stage_is_read_only_in_a_unitary_context(self):
         xi, x, stage = _converged_stage(5, 3, 1e-5, 1e-8)

@@ -262,8 +262,9 @@ class TestZeitlinOperators:
         # The reference: the operator as a dense N^2 x N^2 matrix on
         # vec(w), inverted through its eigendecomposition.
         # N = 2 has a single wrapped off-diagonal, which crosses the seam.
-        # The traced input, which only the unchecked operator that B uses
-        # takes, checks that the identity component maps to zero.
+        # The traced input, which only the unchecked operator and B take,
+        # checks that the identity component maps to zero; B, with its own
+        # scaled stack, is N^{3/2} pinv(w)^dagger.
         for N in (2, 3, 5, 9, 17, 33):
             eye = np.eye(N)
             op = np.zeros((N * N, N * N), dtype=complex)
@@ -279,7 +280,9 @@ class TestZeitlinOperators:
                 assert np.linalg.norm(zeitlin_laplacian_inv(w) - ref) <= 1e-12 * np.linalg.norm(ref)
                 traced = w + 1e-3j * np.eye(N)
                 ref = (pinv @ traced.reshape(-1)).reshape(N, N)
-                assert np.linalg.norm(_apply_laplacian_pinv(traced) - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert np.linalg.norm(_apply_laplacian_pinv(traced, *_laplacian_pinv(N)) - ref) <= 1e-12 * np.linalg.norm(ref)
+                b = ZeitlinSphere(N=N).B(traced)
+                assert np.linalg.norm(b - N**1.5 * ref.conj().T) <= 1e-12 * N**1.5 * np.linalg.norm(ref)
 
     def test_inverse_matches_per_diagonal_reference(self):
         for N in range(2, 66):
