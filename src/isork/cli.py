@@ -356,7 +356,9 @@ def _print_comparison(config: RunConfig, runs, paths) -> None:
     print(f"compare: system={config.system} h={config.h!r} steps={config.steps} seed={config.seed}")
     print(f"{'method'.ljust(width)}  {'max spectral drift':>20}  {'ratio vs ' + reference:>26}")
     for label, drift in drifts.items():
-        ratio = drift / drifts[reference] if drifts[reference] != 0 else float("inf")
+        # Over a zero reference drift a zero drift's ratio is nan, a positive one's inf.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.float64(drift) / drifts[reference]
         print(f"{label.ljust(width)}  {drift:>20.6e}  {ratio:>26.3e}")
     for label, records in runs.items():
         print(f"first non-finite step ({label}): {_first_non_finite(records)}")

@@ -29,10 +29,10 @@ right-invariant variant swaps the signs of both halves, which is the
 same arithmetic as stepping with -h_i.
 
 The conjugation takes two solves, except when the system's context is
-unitary (J = I with a complex J, as for su(N)).  There the converged
-complex sweep hands the update its X = (h_i/2) B(mu_c) and defect d, and
-mu_prev + 2 [X, mu_c - d] is the similarity without a solve, up to a
-remainder below roundoff; where one of two gates turns that away, it is
+unitary (J = I with a complex J, as for su(N)).  There the update takes
+the converged stage's mu_c and defect d, and mu_prev + [xi, mu_c - d],
+xi = h_i B(mu_c), is the similarity without a solve, up to a remainder
+below roundoff; where one of two gates turns that away, it is
 C mu_prev C^dagger with C = cay(h_i B(mu_c)), one solve and two products
 (`quadlie.cayley_conjugate`).  xi is not projected onto the algebra, so
 a B that leaves it shows as spectral drift.  A system without a
@@ -341,37 +341,34 @@ def _unit_images(b_map, n):
     return units, bk
 
 
-def _stage_sweep(mu_prev, a, b_map, norm):
-    """The Picard sweep of a stage: mu -> ((mu, B(mu), ...), mu - defect, ||defect||_F).
+def _stage_sweep(mu_prev, a, b_map):
+    """The Picard sweep of a stage: mu -> ((mu, B(mu), defect), mu - defect, ||defect||_F).
 
     The defect (I - a B) mu (I + a B) - mu_prev has two arithmetics, one
     for a real stage and one for a complex stage.  A real stage takes
     three products, mu - a (B mu - mu B) - a^2 (B mu) B - mu_prev, the
-    bits the golden CSV pins.  A complex stage takes two, t + t ab - mu_prev
-    with ab = a B and t = mu - ab mu, and its result also holds ab, the
-    defect and norm = ||mu_prev||_F, for the solve-free unitary update
-    (`quadlie.cayley_conjugate`).  Neither assumes a structure of mu or B.
+    bits the golden CSV pins.  A complex stage takes two, t + t (a B) - mu_prev
+    with t = mu - (a B) mu.  The converged sweep's defect is the d of the
+    solve-free unitary update (`quadlie.cayley_conjugate`); each sweep
+    works out of place, so no later sweep writes into it.  Neither
+    arithmetic assumes a structure of mu or B.
     """
+    complex_stage = mu_prev.dtype.kind == "c"
+
     # ndarray.dot reaches the same BLAS gemm as @ (the same bits) at about half
     # its dispatch cost on small matrices; it is no batched matmul, so stacks keep @.
-    if mu_prev.dtype.kind != "c":
-
-        def sweep(mu):
-            b = b_map(mu)
+    def sweep(mu):
+        b = b_map(mu)
+        if complex_stage:
+            ab = a * b
+            t = mu - ab.dot(mu)
+            defect = t + t.dot(ab) - mu_prev
+        else:
             bmu = b.dot(mu)
             defect = mu - a * (bmu - mu.dot(b)) - (a * a) * bmu.dot(b) - mu_prev
-            return (mu, b), mu - defect, _frobenius(defect)
+        return (mu, b, defect), mu - defect, _frobenius(defect)
 
-        return sweep
-
-    def complex_sweep(mu):
-        b = b_map(mu)
-        ab = a * b
-        t = mu - ab.dot(mu)
-        defect = t + t.dot(ab) - mu_prev
-        return (mu, b, ab, defect, norm), mu - defect, _frobenius(defect)
-
-    return complex_sweep
+    return sweep
 
 
 def _widened(mu):
@@ -393,10 +390,9 @@ def _widened(mu):
 def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     """Solve mu = mu_prev + a [B(mu), mu] + a^2 B(mu) mu B(mu) from mu_prev.
 
-    Returns ((mu, B(mu), ...), iters, residual), the residual being the
-    stage-equation defect ||(I - a B) mu (I + a B) - mu_prev||_F of mu,
-    within cfg.solver_tol * (1 + ||mu_prev||_F); a complex stage's tuple
-    also holds a B(mu), the defect and that ||mu_prev||_F.  Each sweep's
+    Returns ((mu, B(mu), defect), iters, residual), the residual being
+    ||defect||_F for the stage-equation defect (I - a B) mu (I + a B) - mu_prev
+    of mu, within cfg.solver_tol * (1 + ||mu_prev||_F).  Each sweep's
     update is the Picard step mu - defect.
 
     A stage steps in float64 or complex128 whatever the width of its
@@ -423,11 +419,10 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
     singular J gives None, and the stage mixes.
     """
     mu_prev = _widened(mu_prev)
-    norm = _frobenius(mu_prev)
-    sweep = _stage_sweep(mu_prev, a, b_map, norm)
+    sweep = _stage_sweep(mu_prev, a, b_map)
 
     def linearize(result):
-        mu, b = result
+        mu, b, _ = result
         n = len(mu)
         lo, hi = _half_factors((2.0 * a) * b)
         units, bk = _unit_images(b_map, n)
@@ -438,7 +433,7 @@ def _reduced_stage(mu_prev, a, b_map, cfg: StepperConfig):
         except np.linalg.LinAlgError:
             return None
 
-    scale = cfg.solver_tol * (1.0 + norm)
+    scale = cfg.solver_tol * (1.0 + _frobenius(mu_prev))
     small = mu_prev.dtype.kind != "c" and len(mu_prev) <= _CHORD_MAX_N
     return _fixed_point(sweep, mu_prev, scale, cfg.solver_max_iters, linearize if small else None)
 
@@ -448,19 +443,17 @@ def solve_stage(mu_prev, h_i: float, system, cfg: StepperConfig) -> StageState:
 
     Returns the converged stage matrix together with the next half
     point under cfg.update_form; raises NonConvergenceError when
-    cfg.solver_max_iters sweeps do not reach tolerance.  A complex stage
-    in a unitary context hands the conjugation update its converged
-    sweep's X = a B(mu_c) (the bits of xi/2), defect d, ||mu_prev||_F and
-    residual ||d||_F; it needs no solve where the gates pass.
+    cfg.solver_max_iters sweeps do not reach tolerance.  The conjugation
+    update gets the converged stage matrix mu_c and its defect d, which a
+    unitary context reads to update without a solve where the gates pass.
     """
     sign = _VARIANT_SIGNS[cfg.variant]
-    (mu_c, b, *kept), iters, residual = _reduced_stage(mu_prev, sign * h_i / 2.0, system.B, cfg)
+    (mu_c, b, d), iters, residual = _reduced_stage(mu_prev, sign * h_i / 2.0, system.B, cfg)
     xi = (sign * h_i) * b
     if cfg.update_form == "conjugation":
         # Resolved by name at each call: the benchmark's tracer swaps this name.
         unitary = getattr(getattr(system, "context", None), "unitary", False)
-        stage = (mu_c, *kept, residual) if unitary and kept else None
-        mu_half = cayley_conjugate(xi, mu_prev, unitary=unitary, stage=stage)
+        mu_half = cayley_conjugate(xi, mu_prev, unitary=unitary, stage=(mu_c, d))
     else:
         mu_half = dcay_inv(-xi, mu_c)
     return StageState(mu_half=mu_half, mu_stage=mu_c, iters=iters, residual=residual)

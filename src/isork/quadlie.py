@@ -12,13 +12,14 @@ maps the algebra into the group exactly (no series truncation, one
 linear solve per application).  The isospectral update conjugates by
 it, cay(xi) x cay(xi)^{-1}: two solves, or in a unitary context one
 solve and two products, C x C^dagger with C = cay(xi), since
-cay(xi)^{-1} = cay(xi)^dagger for skew-Hermitian xi.  Given the
-converged stage that produced xi, with its X = xi/2, stage matrix mu_c
-and defect d, a unitary update takes no solve: x + 2 [X, mu_c - d], the
-stage's dcay product minus its defect carried through cay(xi) to first
-order, two products (`cayley_conjugate`).  xi is not projected onto the
-algebra, so a Hermitian part shows as spectral drift.  Its
-right-trivialized differential and the inverse of that differential are
+cay(xi)^{-1} = cay(xi)^dagger for skew-Hermitian xi.  Given only the
+stage matrix mu_c and defect d of the converged stage that produced xi,
+a unitary update takes no solve: x + [xi, mu_c - d], the stage's dcay
+product minus its defect carried through cay(xi) to first order, two
+products (`cayley_conjugate`, whose gates take their norms from xi, x
+and d).  xi is not projected onto the algebra, so a Hermitian part
+shows as spectral drift.  Its right-trivialized differential and the
+inverse of that differential are
 
     dcay_xi(eta)     = (I - xi/2)^{-1} eta (I + xi/2)^{-1}
     dcay_inv_xi(eta) = (I - xi/2) eta (I + xi/2)
@@ -258,8 +259,8 @@ _SKEW_SHARE = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
-def _stage_form(xi, x, mu_c, half, d, x_norm, d_norm):
-    """x + 2 [X, mu_c - d] with X = half = xi/2, or None where a gate fails; x_norm, d_norm = ||x||_F, ||d||_F.
+def _stage_form(xi, x, mu_c, d):
+    """x + [xi, mu_c - d] from the stage (I - X) mu_c (I + X) = x + d, X = xi/2, or None where a gate fails.
 
         (I + X) mu_c (I - X) = (I - X) mu_c (I + X) + 2 [X, mu_c] = x + d + 2 [X, mu_c], so
         (I + X) mu_c (I - X) - d - 2 (X d - d X) = x + 2 [X, mu_c - d]: two products, no solve.
@@ -274,20 +275,21 @@ def _stage_form(xi, x, mu_c, half, d, x_norm, d_norm):
 
         ||R||_F / (r^2 ||d||_F) <= c(r) = 4 + 2 (1 + r) / (1 - r)^2 + 2 (1 + 2r) / (1 - r),
 
-    which grows with r, so it holds with ||X||_F for r as well.
+    which grows with r, so it holds with ||X||_F for r as well.  Every
+    norm the gates read is taken here, from the arguments.
     """
-    r = _frobenius(half)
+    r = 0.5 * _frobenius(xi)
     # r < 1 is tested first, so c(r) never divides by zero; each test is
     # written as not (bound <= limit), so a NaN fails the gate too.
     if not r < 1.0:
         return None
     c = 4.0 + 2.0 * (1.0 + r) / (1.0 - r) ** 2 + 2.0 * (1.0 + 2.0 * r) / (1.0 - r)
-    if not c * r * r * d_norm <= _EPS * x_norm:
+    if not c * r * r * _frobenius(d) <= _EPS * _frobenius(x):
         return None
     # Gate 1 reads xi, by which the fallback conjugates; ||xi||_F = 2r.
     if not _frobenius(xi + xi.conj().T) <= _SKEW_SHARE * 2.0 * r:
         return None
-    return x + 2.0 * commutator(half, mu_c - d)
+    return x + commutator(xi, mu_c - d)
 
 
 def cayley_conjugate(xi: np.ndarray, x: np.ndarray, unitary: bool = False, stage=None) -> np.ndarray:
@@ -301,12 +303,11 @@ def cayley_conjugate(xi: np.ndarray, x: np.ndarray, unitary: bool = False, stage
     part makes that a congruence, not a similarity, and it shows as
     spectral drift rather than being hidden.
 
-    stage=(mu_c, X, d, ||x||_F, ||d||_F), read only with unitary=True,
-    is a converged stage whose equation (I - X) mu_c (I + X) = x + d has
-    defect d and X bit-equal to xi/2; the two norms must be those of
-    this x and d, as gate 2 trusts them.  The update is then solve-free,
-    x + 2 [X, mu_c - d]: the similarity by cay(xi) up to a remainder of
-    at most c(r) r^2 ||d||_F, where r = ||X||_F < 1 and
+    stage=(mu_c, d), read only with unitary=True, is a converged stage
+    whose equation (I - X) mu_c (I + X) = x + d, X = xi/2, has defect d.
+    The update is then solve-free, x + [xi, mu_c - d]: the similarity by
+    cay(xi) up to a remainder of at most c(r) r^2 ||d||_F, where
+    r = ||xi||_F / 2 < 1 and
     c(r) = 4 + 2 (1 + r) / (1 - r)^2 + 2 (1 + 2r) / (1 - r)
     (`_stage_form` proves it).  C x C^dagger stays where either of two
     gates fails: gate 1, xi has a Hermitian part above 1e-12 ||xi||_F (a B

@@ -431,9 +431,9 @@ class ZeitlinSphere(IsospectralSystem):
     the real part; see `casimirs`.
 
     The context is su(N), a unitary one, so each conjugation update
-    takes no solve: mu_prev + 2 [X, mu_c - d] from the stage's
-    X = (h_i/2) B(mu_c) and defect d, or C mu C^dagger with
-    C = cay(h_i B(mu_c)), one solve, where a gate turns that away
+    takes no solve: mu_prev + [xi, mu_c - d] from xi = h_i B(mu_c) and
+    the stage's mu_c and defect d, or C mu C^dagger with
+    C = cay(xi), one solve, where a gate turns that away
     (`quadlie.cayley_conjugate`).  B is not projected onto su(N), so a B
     with a Hermitian part takes the one-solve update and shows as
     spectral drift.

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -635,6 +636,21 @@ class TestCompareCommand:
         lines = capsys.readouterr().out.splitlines()
         assert "first non-finite step (midpoint): none" in lines
         assert "first non-finite step (classical-rk4): none" in lines
+
+    def test_ratio_over_a_zero_reference_drift(self, tmp_path, capsys):
+        # At scale 1e-15 one midpoint step of the rigid body keeps the
+        # spectrum exactly and one yoshida4 step does not: 0/0 prints nan,
+        # a positive drift over 0 prints inf, and numpy warns of neither.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["compare", "--system", "rigidbody", "--scale", "1e-15", "--h", "0.2", "--steps", "1",
+                 "--methods", "midpoint,yoshida4", "--out", str(tmp_path / "z")]
+            )
+        assert code == 0
+        rows = {ln.split()[0]: ln.split()[1:] for ln in capsys.readouterr().out.splitlines()[2:4]}
+        assert rows["midpoint"] == ["0.000000e+00", "nan"]
+        assert float(rows["yoshida4"][0]) > 0.0 and rows["yoshida4"][1] == "inf"
 
     def test_reference_defaults_to_first_method(self, tmp_path, capsys):
         code = main(

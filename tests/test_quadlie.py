@@ -228,7 +228,7 @@ class TestUnitaryContext:
 
 
 def _converged_stage(n, seed, half_norm, defect_norm):
-    """xi, x and stage=(mu_c, X, d, ||x||_F, ||d||_F) of a stage (I - X) mu_c (I + X) = x + d, X = xi/2 in su(n).
+    """xi, x and stage=(mu_c, d) of a stage (I - X) mu_c (I + X) = x + d, X = xi/2 in su(n).
 
     ||X||_F and ||d||_F are as given, ||mu_c||_F = 1; d is a random complex matrix, in no algebra.
     """
@@ -241,7 +241,7 @@ def _converged_stage(n, seed, half_norm, defect_norm):
     d *= defect_norm / _frobenius(d)
     eye = np.eye(n)
     x = (eye - xi / 2.0) @ mu_c @ (eye + xi / 2.0) - d
-    return xi, x, (mu_c, xi / 2.0, d, _frobenius(x), _frobenius(d))
+    return xi, x, (mu_c, d)
 
 
 def _remainder_constant(r):
@@ -265,7 +265,7 @@ class TestStageForm:
             bound = 1e-14 * np.linalg.norm(two)
             assert np.linalg.norm(cayley_conjugate(xi, x, unitary=True, stage=stage) - two) <= bound
             # The commutator term is larger than the check, so it cannot be dropped.
-            d = stage[2]
+            d = stage[1]
             assert 2.0 * np.linalg.norm(commutator(xi / 2.0, d)) > 2.0 * bound
         assert solves == []
 
@@ -307,8 +307,34 @@ class TestStageForm:
         _, x, _ = _converged_stage(5, 7, r, 0.0)
         xi, x, stage = _converged_stage(5, 7, r, _EPS * np.linalg.norm(x) / (math.sqrt(c) * r * r))
         limit = _EPS * np.linalg.norm(x) / (r * r)
-        assert limit / c < np.linalg.norm(stage[2]) < limit
+        assert limit / c < np.linalg.norm(stage[1]) < limit
         assert np.array_equal(cayley_conjugate(xi, x, unitary=True, stage=stage), cayley_conjugate(xi, x, unitary=True))
+
+    def test_gate_2_reads_the_entering_state(self, monkeypatch):
+        # Gate 2 holds the remainder to eps ||x||_F, x being the state the
+        # update conjugates.  In su(2) with mu_c = X / ||X||_F at r = 0.9,
+        # ||x||_F is 1 + r^2 / 2 = 1.405 times ||mu_c||_F, and a defect whose
+        # bound lies between eps ||mu_c||_F and eps ||x||_F passes gate 2
+        # only as it reads x.
+        import isork.quadlie as quadlie
+
+        r = 0.9
+        c = _remainder_constant(r)
+        xi = random_algebra_element(special_unitary_structure(2), 7)
+        xi *= 2.0 * r / _frobenius(xi)
+        mu_c = xi / _frobenius(xi)
+        eye = np.eye(2)
+        s = (eye - xi / 2.0) @ mu_c @ (eye + xi / 2.0)
+        d = SplitMix64(9).uniform((2, 2)) + 1j * SplitMix64(10).uniform((2, 2))
+        d *= math.sqrt(_frobenius(s) / _frobenius(mu_c)) * _EPS * _frobenius(mu_c) / (c * r * r * _frobenius(d))
+        x = s - d
+        assert _EPS * _frobenius(mu_c) < c * r * r * _frobenius(d) < _EPS * _frobenius(x)
+        two = cayley_conjugate(xi, x)
+        solves = []
+        monkeypatch.setattr(quadlie, "cayley", lambda xi: solves.append(xi))
+        got = cayley_conjugate(xi, x, unitary=True, stage=(mu_c, d))
+        assert solves == []
+        assert np.linalg.norm(got - two) <= 1e-14 * np.linalg.norm(two)
 
     def test_remainder_is_within_the_stated_bound(self):
         # Gate 2's bound: for r = ||X||_F < 1, cay(xi) d cay(xi)^{-1}
@@ -329,11 +355,12 @@ class TestStageForm:
         # x + 2 [X, mu_c - d] is (s - d) - 2 X d - (s - 2d) X with
         # s = 2 mu_c - (I - X) mu_c, the form it replaced, for any X with
         # r = ||X||_F < 1, mu_c and d.  Gate 1 is lifted for an X off the
-        # algebra, and d_norm = 0 passes gate 2 at a defect the dropped
-        # -d or a flipped commutator would show far above roundoff.
+        # algebra, and gate 2 for a defect the dropped -d or a flipped
+        # commutator would show far above roundoff.
         import isork.quadlie as quadlie
 
         monkeypatch.setattr(quadlie, "_SKEW_SHARE", math.inf)
+        monkeypatch.setattr(quadlie, "_EPS", math.inf)
         rng = np.random.default_rng(35)
         for k in range(60):
             n = 2 + k % 32
@@ -346,7 +373,7 @@ class TestStageForm:
             x = (eye - half) @ mu_c @ (eye + half) - d
             s = 2.0 * mu_c - (eye - half) @ mu_c
             two_product = (s - d) - 2.0 * half @ d - (s - 2.0 * d) @ half
-            got = quadlie._stage_form(2.0 * half, x, mu_c, half, d, np.linalg.norm(x), 0.0)
+            got = quadlie._stage_form(2.0 * half, x, mu_c, d)
             assert np.linalg.norm(got - two_product) <= 8 * _EPS * np.linalg.norm(two_product)
 
     def test_stage_is_read_only_in_a_unitary_context(self):
